@@ -1,17 +1,16 @@
-// Parallel sharded engines: pro-rata replay AND ingest throughput
-// versus thread count on the Table 6 presets. Not a paper experiment —
-// the paper's Section 8 names parallel provenance tracking as future
-// work; this harness measures the repo's two realizations of it: the
-// label-sharded replay engine (src/parallel/sharded_replay.h) and the
-// vertex-sharded ingest engine (src/parallel/sharded_ingest.h), both
-// bit-identical to their sequential counterparts by construction
-// (tests/test_parallel.cc).
+// Parallel sharded replay: pro-rata replay throughput versus thread
+// count on the Table 6 presets. Not a paper experiment — the paper's
+// Section 8 names parallel provenance tracking as future work; this
+// harness measures the repo's one realization of it, the label-sharded
+// replay engine (src/parallel/sharded_replay.h), which is bit-identical
+// to sequential replay by construction (tests/test_parallel.cc). The
+// same shard runner backs the serve layer's Catchup bulk load.
 //
 // Expected shape: the list-heavy networks (many interactions per
 // vertex, long provenance lists) approach linear scaling, because the
 // superlinear list work dominates the replicated scalar bookkeeping.
 // Sparse networks with short lists are scan-bound and gain little —
-// the replicated scan is the Amdahl floor of both designs.
+// every shard scans the whole stream, which is the Amdahl floor.
 //
 // The sweep is clamped to std::thread::hardware_concurrency() so the
 // recorded JSON reflects real parallelism; TINPROV_THREADS overrides
@@ -29,7 +28,6 @@
 #include "analytics/experiment.h"
 #include "analytics/report.h"
 #include "bench_util.h"
-#include "parallel/sharded_ingest.h"
 #include "parallel/sharded_replay.h"
 #include "stream/interaction_stream.h"
 #include "util/memory.h"
@@ -82,7 +80,7 @@ std::string JsonSuffix(size_t threads) {
 
 int main() {
   const double scale = bench::GetScale();
-  bench::PrintHeader("Parallel replay + ingest",
+  bench::PrintHeader("Parallel replay",
                      "Sharded pro-rata throughput vs threads");
   bench::JsonBenchReporter reporter("bench_parallel");
 
@@ -137,60 +135,12 @@ int main() {
     }
     std::printf("replay (label-sharded):\n%s\n",
                 replay_table.ToString().c_str());
-
-    // --- Vertex-sharded ingest sweep -------------------------------
-    // Same stream each round; the engine falls back to a sequential
-    // StreamIngestor at one thread, so t1 is the honest baseline.
-    TablePrinter ingest_table({"threads", "time", "speedup", "inter/s",
-                               "memory", "path"});
-    double ingest_baseline = 0.0;
-    for (const size_t threads : thread_counts) {
-      auto spec = TrackerRegistry::Global().Sharded(
-          {"Prop-sparse", params, TrackerMode::kStreaming}, tin.Stats());
-      if (!spec.ok()) {
-        std::fprintf(stderr, "ingest spec failed: %s\n",
-                     spec.status().ToString().c_str());
-        return 1;
-      }
-      ParallelParams parallel;
-      parallel.num_threads = threads;
-      ShardedIngestEngine engine(tin.Stats(), *std::move(spec), parallel);
-      MaterializedStream stream(tin);
-      auto result = engine.IngestStream(stream);
-      if (!result.ok()) {
-        std::fprintf(stderr, "ingest measurement failed: %s\n",
-                     result.status().ToString().c_str());
-        return 1;
-      }
-      const double seconds = result->stats.seconds;
-      if (threads == 1) ingest_baseline = seconds;
-      const double rate =
-          seconds > 0.0
-              ? static_cast<double>(tin.num_interactions()) / seconds
-              : 0.0;
-      std::string speedup = "-";
-      if (seconds > 0.0) {
-        speedup = FormatCompact(ingest_baseline / seconds, 2) + "x";
-      }
-      ingest_table.AddRow(
-          {ThreadLabel(threads), FormatSeconds(seconds), speedup,
-           FormatCompact(rate, 2),
-           FormatBytes(result->stats.tracker_peak_memory),
-           result->used_parallel_path
-               ? std::to_string(result->num_shards) + " vertex shards"
-               : "sequential"});
-      reporter.Record(
-          dataset_name + "/Prop-sparse/ingest" + JsonSuffix(threads),
-          seconds, rate, result->stats.tracker_peak_memory);
-    }
-    std::printf("ingest (vertex-sharded):\n%s\n",
-                ingest_table.ToString().c_str());
   }
   std::printf(
       "Expected shape: list-heavy networks (Flights, Taxis) approach "
       "linear scaling;\nthe replicated scalar bookkeeping is the "
-      "sequential floor, so sparse short-list\nnetworks gain less. Both "
-      "engines are bit-identical to their sequential\ncounterparts at any "
-      "thread count (tests/test_parallel.cc proves it).\n");
+      "sequential floor, so sparse short-list\nnetworks gain less. The "
+      "engine is bit-identical to sequential replay at any\nthread count "
+      "(tests/test_parallel.cc proves it).\n");
   return 0;
 }

@@ -143,7 +143,7 @@ int main() {
                        2),
          FormatBytes((parallel.stream_queue_chunks + sharded->num_threads) *
                      parallel.stream_chunk * sizeof(Interaction)),
-         FormatBytes(sharded->num_entries * sizeof(ProvPair)),
+         FormatBytes(sharded->tracker->MemoryUsage()),
          sharded->used_parallel_path
              ? std::to_string(sharded->num_shards) + " shards / " +
                    std::to_string(sharded->num_threads) + " threads" +
@@ -161,7 +161,7 @@ int main() {
     reporter.Record(name + "/Prop-sparse/streaming_sharded",
                     sharded->replay_seconds,
                     rate_base / std::max(sharded->replay_seconds, 1e-12),
-                    sharded->num_entries * sizeof(ProvPair));
+                    sharded->tracker->MemoryUsage());
   }
 
   // Acceptance check: streaming-side buffering must be independent of

@@ -122,14 +122,12 @@ StatusOr<Measurement> MeasureTracker(const TrackerSpec& spec,
       auto result = engine.Replay();
       if (!result.ok()) return result.status();
       Measurement measurement;
-      // replay_seconds excludes the exchange/materialization phase,
-      // making this number comparable to MeasureRun's Process()-loop
-      // timing: a sequential tracker needs no exchange to become
-      // queryable, and neither do the shard trackers (QueryPrefix
-      // interleaves on demand).
+      // replay_seconds excludes the exchange phase, making this number
+      // comparable to MeasureRun's Process()-loop timing: a sequential
+      // tracker needs no exchange to become queryable, and neither do
+      // the shard trackers (QueryPrefix interleaves on demand).
       measurement.seconds = result->replay_seconds;
-      measurement.peak_memory = result->num_entries * sizeof(ProvPair) +
-                                tin.num_vertices() * sizeof(double);
+      measurement.peak_memory = result->tracker->MemoryUsage();
       measurement.parallel = result->used_parallel_path;
       return measurement;
     }

@@ -1,7 +1,7 @@
 #include "parallel/sharded_replay.h"
 
 #include <algorithm>
-#include <atomic>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -24,56 +24,28 @@ namespace tinprov {
 
 namespace {
 
-/// The deterministic single-vertex exchange: interleaves v's disjoint
-/// shard slices into one label-sorted list by repeated min-head
-/// selection (shard counts are small; slices are disjoint, so ties are
-/// impossible). Shared by ReplayPrefix's phase 2 and QueryPrefix so the
-/// two cannot drift apart. `cursor` is caller-provided scratch of at
-/// least trackers.size() elements.
-void InterleaveVertexSlices(
-    const std::vector<std::unique_ptr<SparseProportionalBase>>& trackers,
-    VertexId v, std::vector<ProvPair>* out, std::vector<size_t>* cursor) {
-  const size_t shards = trackers.size();
-  size_t total_len = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    (*cursor)[s] = 0;
-    total_len += trackers[s]->EntriesOf(v).size();
-  }
-  out->reserve(total_len);
-  for (size_t picked = 0; picked < total_len; ++picked) {
-    size_t best = shards;
-    VertexId best_origin = kInvalidVertex;
-    for (size_t s = 0; s < shards; ++s) {
-      const SparseVector& list = trackers[s]->EntriesOf(v);
-      if ((*cursor)[s] < list.size() &&
-          (best == shards || list[(*cursor)[s]].origin < best_origin)) {
-        best = s;
-        best_origin = list[(*cursor)[s]].origin;
-      }
-    }
-    out->push_back(trackers[best]->EntriesOf(v)[(*cursor)[best]]);
-    ++(*cursor)[best];
-  }
+/// Per-shard entry pre-sizing from an expected interaction count
+/// (0 = unknown, no reservation).
+void ReserveShard(SparseProportionalBase* tracker,
+                  size_t expected_interactions, size_t num_shards) {
+  if (expected_interactions == 0) return;  // unknown length: grow on demand
+  const size_t hint = std::min(expected_interactions,
+                               (size_t{8} << 20) / sizeof(ProvPair)) /
+                          num_shards +
+                      16;
+  tracker->ReserveEntries(hint);
 }
 
 }  // namespace
 
-Buffer ShardedReplayResult::Provenance(VertexId v) const {
-  Buffer buffer;
-  buffer.total = totals[v];
-  buffer.entries = entries[v];
-  return buffer;
-}
-
 ShardedReplayEngine::ShardedReplayEngine(const Tin& tin, ShardedSpec spec,
                                          ParallelParams params)
-    : tin_(&tin), stats_(tin.Stats()), spec_(std::move(spec)),
-      params_(params) {}
+    : tin_(&tin), spec_(std::move(spec)), params_(params) {}
 
-ShardedReplayEngine::ShardedReplayEngine(const DatasetStats& stats,
+ShardedReplayEngine::ShardedReplayEngine(const DatasetStats& /*stats*/,
                                          ShardedSpec spec,
                                          ParallelParams params)
-    : tin_(nullptr), stats_(stats), spec_(std::move(spec)), params_(params) {}
+    : tin_(nullptr), spec_(std::move(spec)), params_(params) {}
 
 size_t ShardedReplayEngine::ResolvedThreads() const {
   return params_.num_threads == 0 ? HardwareThreads() : params_.num_threads;
@@ -101,89 +73,39 @@ std::vector<GroupId> ShardedReplayEngine::AssignLabels(const Tin& tin,
   return RoundRobinGroups(label_count, num_shards);
 }
 
+Status ShardedReplayEngine::RequireLog() const {
+  if (tin_ != nullptr) return Status::Ok();
+  return Status::FailedPrecondition(
+      "engine was built without a materialized log — use ReplayStream");
+}
+
 StatusOr<ShardedReplayResult> ShardedReplayEngine::Replay() const {
-  if (tin_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine was built without a materialized log — use ReplayStream");
-  }
-  return ReplayPrefix(tin_->num_interactions());
-}
-
-StatusOr<std::unique_ptr<Tracker>> ShardedReplayEngine::MakeSequentialTracker()
-    const {
-  if (!spec_.sequential) {
-    return Status::FailedPrecondition(
-        "sharded spec has no sequential tracker factory");
-  }
-  std::unique_ptr<Tracker> tracker = spec_.sequential();
-  if (tracker == nullptr) {
-    return Status::Internal("sequential tracker factory returned null");
-  }
-  return tracker;
-}
-
-StatusOr<std::unique_ptr<Tracker>> ShardedReplayEngine::SequentialTracker(
-    size_t prefix) const {
-  auto tracker = MakeSequentialTracker();
-  if (!tracker.ok()) return tracker.status();
-  MaterializedStream stream(*tin_, prefix);
-  const Status status = (*tracker)->ProcessStream(stream);
-  if (!status.ok()) {
-    return Status(status.code(),
-                  "sequential replay: " + status.message());
-  }
-  return tracker;
-}
-
-namespace {
-
-/// Drains `tracker` into a materialized result — the sequential halves
-/// of both the prefix and the streaming paths end here.
-ShardedReplayResult MaterializeTracker(Tracker& tracker, size_t num_vertices,
-                                       size_t interactions_replayed,
-                                       double replay_seconds) {
-  ShardedReplayResult result;
-  result.num_vertices = num_vertices;
-  result.interactions_replayed = interactions_replayed;
-  result.replay_seconds = replay_seconds;
-  result.totals.resize(num_vertices);
-  result.entries.resize(num_vertices);
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    Buffer buffer = tracker.Provenance(v);
-    result.totals[v] = buffer.total;
-    result.num_entries += buffer.entries.size();
-    result.entries[v] = std::move(buffer.entries);
-  }
-  result.total_generated = tracker.total_generated();
-  return result;
-}
-
-}  // namespace
-
-StatusOr<ShardedReplayResult> ShardedReplayEngine::SequentialReplay(
-    size_t prefix) const {
-  Stopwatch watch;
-  auto replayed = SequentialTracker(prefix);
-  if (!replayed.ok()) return replayed.status();
-  const double replay_seconds = watch.ElapsedSeconds();
-  return MaterializeTracker(**replayed, tin_->num_vertices(), prefix,
-                            replay_seconds);
+  // MaterializedStream clamps the prefix to the log length.
+  return ReplayPrefix(std::numeric_limits<size_t>::max());
 }
 
 StatusOr<ShardedReplayResult> ShardedReplayEngine::SequentialStreamReplay(
     InteractionStream& stream) const {
-  auto tracker = MakeSequentialTracker();
-  if (!tracker.ok()) return tracker.status();
+  if (!spec_.sequential) {
+    return Status::FailedPrecondition(
+        "sharded spec has no sequential tracker factory");
+  }
+  ShardedReplayResult result;
+  result.tracker = spec_.sequential();
+  if (result.tracker == nullptr) {
+    return Status::Internal("sequential tracker factory returned null");
+  }
   Stopwatch watch;
-  StreamIngestor ingestor(tracker->get());
+  StreamIngestor ingestor(result.tracker.get());
   const Status status = ingestor.IngestAll(stream);
   if (!status.ok()) {
     return Status(status.code(),
                   "sequential stream replay: " + status.message());
   }
-  return MaterializeTracker(**tracker, stats_.num_vertices,
-                            ingestor.stats().interactions,
-                            watch.ElapsedSeconds());
+  result.replay_seconds = watch.ElapsedSeconds();
+  result.interactions_replayed = ingestor.stats().interactions;
+  result.watermark = ingestor.stats().watermark;
+  return result;
 }
 
 bool ShardedReplayEngine::UsesShards(size_t* num_shards) const {
@@ -228,77 +150,8 @@ void ShardedReplayEngine::PartitionLabels(ShardRun* run,
   }
 }
 
-void ShardedReplayEngine::ReserveShard(SparseProportionalBase* tracker,
-                                       size_t expected_interactions,
-                                       size_t num_shards) {
-  if (expected_interactions == 0) return;  // unknown length: grow on demand
-  const size_t hint = std::min(expected_interactions,
-                               (size_t{8} << 20) / sizeof(ProvPair)) /
-                          num_shards +
-                      16;
-  tracker->ReserveEntries(hint);
-}
-
-StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShards(
-    size_t prefix, size_t num_shards) const {
-  const size_t threads = ResolvedThreads();
-  const size_t label_count = spec_.label_count;
-  ShardRun run;
-  run.num_shards = num_shards;
-  run.num_threads = std::min(threads, num_shards);
-  PartitionLabels(&run, num_shards);
-
-  // Phase 1: every shard replays the full prefix over its label slice.
-  run.trackers.resize(num_shards);
-  run.seconds.assign(num_shards, 0.0);
-  std::vector<Status> statuses(num_shards, Status::Ok());
-  const auto& log = tin_->interactions();
-  WorkStealingScheduler scheduler(threads);
-  scheduler.ParallelFor(num_shards, [&](size_t s) {
-    obs::TraceSpan span("replay.shard", "parallel");
-    TINPROV_SCOPED_COUNTER_NS("parallel.shard_busy_ns");
-    Stopwatch watch;
-    std::unique_ptr<SparseProportionalBase> tracker = spec_.make_shard();
-    if (tracker == nullptr) {
-      statuses[s] = Status::Internal("shard tracker factory returned null");
-      return;
-    }
-    tracker->RestrictLabels(run.masks[s].data(), label_count);
-    ReserveShard(tracker.get(), prefix, num_shards);
-    for (size_t i = 0; i < prefix; ++i) {
-      const Status status = tracker->Process(log[i]);
-      if (!status.ok()) {
-        statuses[s] = Status(status.code(),
-                             "shard " + std::to_string(s) +
-                                 " replay at interaction " +
-                                 std::to_string(i) + ": " + status.message());
-        return;
-      }
-    }
-    run.trackers[s] = std::move(tracker);
-    run.seconds[s] = watch.ElapsedSeconds();
-  });
-  for (const Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-
-  // Replicated global state must agree bit-for-bit across shards, or
-  // the spec lied about being label-linear; total_generated is the
-  // cheapest complete witness (it accumulates every deficit in order).
-  for (size_t s = 1; s < num_shards; ++s) {
-    if (run.trackers[s]->total_generated() !=
-        run.trackers[0]->total_generated()) {
-      return Status::Internal(
-          "shard " + std::to_string(s) +
-          " diverged from shard 0 — tracker is not label-decomposable");
-    }
-  }
-  return run;
-}
-
 StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
-    InteractionStream& stream, size_t num_shards,
-    size_t* interactions) const {
+    InteractionStream& stream, size_t num_shards) const {
   const size_t label_count = spec_.label_count;
   ShardRun run;
   run.num_shards = num_shards;
@@ -329,6 +182,7 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
   // beyond the queue hand-off.
   const auto feed = [&run](size_t s,
                            const std::vector<Interaction>& chunk) -> Status {
+    obs::TraceSpan span("replay.shard", "parallel");
     Stopwatch watch;
     for (const Interaction& interaction : chunk) {
       const Status status = run.trackers[s]->Process(interaction);
@@ -345,24 +199,22 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
 
   // The producer (calling thread) is the only one that touches the
   // stream; it also enforces the time-order contract the trackers rely
-  // on, exactly as StreamIngestor does.
-  Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
-  size_t pulled_total = 0;
+  // on, exactly as StreamIngestor does (chunks play its batches).
+  size_t chunks_pulled = 0;
   const auto pull_chunk = [&](std::vector<Interaction>* chunk) -> Status {
     chunk->clear();
     Interaction interaction;
     while (chunk->size() < chunk_capacity && stream.Next(&interaction)) {
-      if (interaction.t < watermark) {
-        return Status::InvalidArgument(
-            "stream interaction " +
-            std::to_string(pulled_total + chunk->size()) +
-            " has timestamp below the watermark — wrap the source in a "
-            "SortingStream");
+      if (interaction.t < run.watermark) {
+        return TimeOrderViolation(chunks_pulled,
+                                  run.interactions + chunk->size(),
+                                  interaction.t, run.watermark);
       }
-      watermark = interaction.t;
+      run.watermark = interaction.t;
       chunk->push_back(interaction);
     }
-    pulled_total += chunk->size();
+    run.interactions += chunk->size();
+    ++chunks_pulled;
     return Status::Ok();
   };
 
@@ -491,90 +343,67 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
   }
 #endif
 
-  // Same label-linearity witness as the materialized path.
+  // Replicated global state must agree bit-for-bit across shards, or
+  // the spec lied about being label-linear. total_generated accumulates
+  // every deficit in order and the alpha residue every attribution, so
+  // together they are a cheap complete witness for the scalars the
+  // adoption takes from shard 0.
   for (size_t s = 1; s < num_shards; ++s) {
     if (run.trackers[s]->total_generated() !=
-        run.trackers[0]->total_generated()) {
+            run.trackers[0]->total_generated() ||
+        run.trackers[s]->AlphaResidue() != run.trackers[0]->AlphaResidue()) {
       return Status::Internal(
           "shard " + std::to_string(s) +
           " diverged from shard 0 — tracker is not label-decomposable");
     }
   }
-  *interactions = pulled_total;
   return run;
 }
 
-ShardedReplayResult ShardedReplayEngine::AssembleResult(
-    const ShardRun& run, size_t interactions_replayed,
-    double replay_seconds) const {
-  const auto& trackers = run.trackers;
-  const size_t shards = run.num_shards;
-  const size_t threads = ResolvedThreads();
-  const size_t n = stats_.num_vertices;
+StatusOr<ShardedReplayResult> ShardedReplayEngine::AssembleResult(
+    const ShardRun& run, double replay_seconds) const {
   ShardedReplayResult result;
-  result.num_vertices = n;
-  result.interactions_replayed = interactions_replayed;
+  result.interactions_replayed = run.interactions;
+  result.watermark = run.watermark;
   result.replay_seconds = replay_seconds;
   result.used_parallel_path = true;
-  result.num_shards = shards;
+  result.num_shards = run.num_shards;
   result.num_threads = run.num_threads;
-  result.totals.resize(n);
-  result.entries.resize(n);
-  result.total_generated = trackers[0]->total_generated();
   size_t pool_bytes = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    result.num_entries += trackers[s]->num_entries();
+  for (size_t s = 0; s < run.num_shards; ++s) {
     ShardInfo info;
     info.labels = run.labels_per_shard[s];
-    info.entries = trackers[s]->num_entries();
+    info.entries = run.trackers[s]->num_entries();
     info.seconds = run.seconds[s];
-    info.pool_bytes = trackers[s]->PoolBytesReserved();
+    info.pool_bytes = run.trackers[s]->PoolBytesReserved();
     pool_bytes += info.pool_bytes;
     result.shards.push_back(info);
   }
   TINPROV_COUNTER_ADD("parallel.replays", 1);
-  TINPROV_COUNTER_ADD("parallel.shards_run", shards);
+  TINPROV_COUNTER_ADD("parallel.shards_run", run.num_shards);
   TINPROV_GAUGE_SET("memory.shard_pool_bytes", pool_bytes);
 
   // Phase 2 (exchange): interleave the shards' disjoint label slices
-  // back into full per-vertex lists. Pure data movement ordered by
-  // label id — deterministic and free of floating-point arithmetic —
-  // parallelized over vertex blocks on the work-stealing scheduler
-  // (blocks vary wildly in list volume, which is exactly the skew
-  // stealing exists for).
+  // back into one tracker. Pure data movement ordered by label id —
+  // deterministic and free of floating-point arithmetic.
   obs::TraceSpan exchange_span("replay.exchange", "parallel");
   TINPROV_SCOPED_LATENCY_NS("parallel.exchange_ns");
-  constexpr size_t kBlock = 1024;
-  const size_t num_blocks = (n + kBlock - 1) / kBlock;
-  WorkStealingScheduler scheduler(threads);
-  scheduler.ParallelFor(num_blocks, [&](size_t block) {
-    std::vector<size_t> cursor(shards);
-    const VertexId begin = static_cast<VertexId>(block * kBlock);
-    const VertexId end =
-        static_cast<VertexId>(std::min(n, (block + 1) * kBlock));
-    for (VertexId v = begin; v < end; ++v) {
-      result.totals[v] = trackers[0]->BufferTotal(v);
-      InterleaveVertexSlices(trackers, v, &result.entries[v], &cursor);
-    }
-  });
+  std::unique_ptr<SparseProportionalBase> adopted = spec_.make_shard();
+  if (adopted == nullptr) {
+    return Status::Internal("shard tracker factory returned null");
+  }
+  const Status status = adopted->AdoptLabelShards(run.trackers);
+  if (!status.ok()) return status;
+  result.tracker = std::move(adopted);
   return result;
 }
 
 StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayPrefix(
     size_t prefix) const {
-  if (tin_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine was built without a materialized log — use ReplayStream");
-  }
-  prefix = std::min(prefix, tin_->num_interactions());
-  size_t shards = 0;
-  if (!UsesShards(&shards)) {
-    return SequentialReplay(prefix);
-  }
-  Stopwatch watch;
-  auto executed = RunShards(prefix, shards);
-  if (!executed.ok()) return executed.status();
-  return AssembleResult(*executed, prefix, watch.ElapsedSeconds());
+  const Status status = RequireLog();
+  if (!status.ok()) return status;
+  MaterializedStream stream(*tin_, prefix);
+  return ReplayStream(stream);
 }
 
 StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayStream(
@@ -584,38 +413,35 @@ StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayStream(
     return SequentialStreamReplay(stream);
   }
   Stopwatch watch;
-  size_t interactions = 0;
-  auto executed = RunShardsStream(stream, shards, &interactions);
+  auto executed = RunShardsStream(stream, shards);
   if (!executed.ok()) return executed.status();
-  return AssembleResult(*executed, interactions, watch.ElapsedSeconds());
+  return AssembleResult(*executed, watch.ElapsedSeconds());
 }
 
 StatusOr<Buffer> ShardedReplayEngine::QueryPrefix(VertexId v,
                                                   size_t prefix) const {
-  if (tin_ == nullptr) {
-    return Status::FailedPrecondition(
-        "engine was built without a materialized log — use ReplayStream");
-  }
+  const Status status = RequireLog();
+  if (!status.ok()) return status;
   if (v >= tin_->num_vertices()) {
     return Status::InvalidArgument("query vertex " + std::to_string(v) +
                                    " out of range");
   }
-  prefix = std::min(prefix, tin_->num_interactions());
+  MaterializedStream stream(*tin_, prefix);
   size_t shards = 0;
   if (!UsesShards(&shards)) {
-    auto replayed = SequentialTracker(prefix);
+    auto replayed = SequentialStreamReplay(stream);
     if (!replayed.ok()) return replayed.status();
-    return (*replayed)->Provenance(v);
+    return replayed->Provenance(v);
   }
-  auto executed = RunShards(prefix, shards);
+  auto executed = RunShardsStream(stream, shards);
   if (!executed.ok()) return executed.status();
 
-  // Single-vertex exchange: the same interleave as ReplayPrefix's
-  // phase 2, restricted to v — per-query cost stays O(|list(v)|).
+  // Single-vertex exchange: the same interleave as the adoption,
+  // restricted to v — per-query cost stays O(|list(v)|).
   Buffer buffer;
   buffer.total = executed->trackers[0]->BufferTotal(v);
-  std::vector<size_t> cursor(shards);
-  InterleaveVertexSlices(executed->trackers, v, &buffer.entries, &cursor);
+  std::vector<size_t> cursor;
+  InterleaveLabelSlices(executed->trackers, v, &buffer.entries, &cursor);
   return buffer;
 }
 

@@ -8,15 +8,17 @@
 // tracker restricted (via SparseProportionalBase::RestrictLabels) to
 // the labels it owns, and the per-vertex lists of different shards stay
 // disjoint by construction. Three consequences:
-//   - balances, deficits and total_generated are computed by the
-//     identical floating-point op sequence in every shard, so they are
-//     bit-identical to a sequential replay;
+//   - balances, deficits, total_generated and the attributed total are
+//     computed by the identical floating-point op sequence in every
+//     shard, so they are bit-identical to a sequential replay;
 //   - each owned label's quantity undergoes exactly the op sequence the
 //     sequential replay applies to it, so shard lists are bit-identical
 //     to the owned-label slices of the sequential lists;
-//   - the exchange phase that merges cross-shard flow back into full
-//     per-vertex lists is a pure interleave by label — no arithmetic —
-//     and therefore deterministic regardless of thread timing.
+//   - the exchange phase that merges cross-shard flow back into one
+//     tracker (SparseProportionalBase::AdoptLabelShards) is a pure
+//     interleave by label — no arithmetic — and therefore deterministic
+//     regardless of thread timing; the adopted tracker is bit-identical
+//     to a sequential run, SaveState bytes included.
 // Work per shard is (stream scan) + (list work / #shards): the scan is
 // the cheap scalar part, the list work is the superlinear cost paper
 // Figure 6 plots, which is what actually parallelizes.
@@ -28,23 +30,20 @@
 // decomposable here — unlike influence-cone slicing, every shard sees
 // every interaction, so its global reset counter advances identically.
 //
-// Shards are claimed by a small self-scheduling worker pool (each
-// worker steals the next unclaimed shard index), so uneven shards —
-// e.g. an activity-skewed label partition — keep all threads busy.
-// Each shard tracker owns its own arena-backed pool; no state is
-// shared between workers until the join.
-//
-// Two input modes share the engine: the materialized mode above (every
-// shard re-scans the immutable log) and a streaming mode (ReplayStream)
-// where a single pass of an InteractionStream is broadcast to the
-// shards chunk by chunk through a bounded queue — same math, same
-// bit-identical results, but the log is never materialized and
-// buffering stays constant.
+// One shard runner serves every entry point: a single pass of an
+// InteractionStream is broadcast to the shards chunk by chunk through a
+// bounded queue, each worker thread owning a fixed subset of the
+// shards. The materialized entry points (Replay, ReplayPrefix,
+// QueryPrefix) feed it a MaterializedStream over the log, and the
+// serve layer's Catchup feeds it the live backlog. Each shard tracker
+// owns its own arena-backed pool; no state is shared between workers
+// until the join.
 #ifndef TINPROV_PARALLEL_SHARDED_REPLAY_H_
 #define TINPROV_PARALLEL_SHARDED_REPLAY_H_
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -76,16 +75,16 @@ struct ParallelParams {
   /// TINPROV_PARALLEL=OFF the shards all run inline on the caller.
   size_t num_threads = 0;
   /// Label shards; 0 = one per thread. More shards than threads is
-  /// valid (and useful: the pool self-balances); shard counts are
+  /// valid (worker w runs shards w, w + threads, ...); shard counts are
   /// clamped to the label-space size.
   size_t num_shards = 0;
   ShardStrategy strategy = ShardStrategy::kActivity;
-  /// Streaming replay (ReplayStream) only: interactions per broadcast
-  /// chunk, and the bound on undrained chunks the producer queue may
-  /// hold. Each worker can additionally pin one in-flight chunk it is
-  /// processing after the queue popped it, so total pipeline buffering
-  /// is bounded by (stream_queue_chunks + workers) * stream_chunk
-  /// interactions — a constant, independent of stream length.
+  /// Interactions per broadcast chunk, and the bound on undrained
+  /// chunks the producer queue may hold. Each worker can additionally
+  /// pin one in-flight chunk it is processing after the queue popped
+  /// it, so total pipeline buffering is bounded by
+  /// (stream_queue_chunks + workers) * stream_chunk interactions — a
+  /// constant, independent of stream length.
   size_t stream_chunk = 4096;
   size_t stream_queue_chunks = 8;
 };
@@ -118,22 +117,20 @@ struct ShardInfo {
   size_t pool_bytes = 0;    // arena bytes its tracker reserved
 };
 
-/// Materialized outcome of a (possibly prefix-bounded) replay.
+/// Outcome of a (possibly prefix-bounded) replay.
 struct ShardedReplayResult {
-  size_t num_vertices = 0;
-  size_t interactions_replayed = 0;  // log prefix length (logical cost)
-  /// Wall time of the replay itself, excluding the exchange phase and
-  /// result materialization. This is the number comparable to a
-  /// sequential tracker's Process() loop: a sequential tracker is
-  /// queryable the moment the loop ends, and so are the shard trackers
-  /// (via a per-vertex interleave) the moment the replay ends.
+  /// The replayed tracker, bit-identical to spec.sequential() after the
+  /// same interactions (SaveState bytes included): the adopted shard
+  /// trackers on the parallel path, the sequential tracker itself on
+  /// the fallback.
+  std::unique_ptr<Tracker> tracker;
+  size_t interactions_replayed = 0;  // stream / log prefix length
+  /// Timestamp of the last replayed interaction; the tracker's state is
+  /// complete up to (and including) this time.
+  Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
+  /// Wall time of the replay itself, excluding the exchange phase. This
+  /// is the number comparable to a sequential tracker's Process() loop.
   double replay_seconds = 0.0;
-  std::vector<double> totals;        // per-vertex balances
-  /// Per-vertex provenance lists, label-sorted — bit-identical to what
-  /// the sequential tracker's Provenance() would list.
-  std::vector<std::vector<ProvPair>> entries;
-  double total_generated = 0.0;
-  size_t num_entries = 0;
   /// False when the sequential fallback ran (non-decomposable spec or a
   /// single shard).
   bool used_parallel_path = false;
@@ -141,8 +138,8 @@ struct ShardedReplayResult {
   size_t num_threads = 1;
   std::vector<ShardInfo> shards;
 
-  double BufferTotal(VertexId v) const { return totals[v]; }
-  Buffer Provenance(VertexId v) const;
+  double BufferTotal(VertexId v) const { return tracker->BufferTotal(v); }
+  Buffer Provenance(VertexId v) const { return tracker->Provenance(v); }
 };
 
 class ShardedReplayEngine {
@@ -151,7 +148,8 @@ class ShardedReplayEngine {
   ShardedReplayEngine(const Tin& tin, ShardedSpec spec,
                       ParallelParams params = {});
 
-  /// Tin-free streaming form: the engine knows only the dataset shape.
+  /// Tin-free streaming form for a dataset of shape `stats` (the shape
+  /// `spec` was built for; the shard trackers take it from the spec).
   /// ReplayStream is the sole replay entry point — the materialized
   /// ones below need a log to (re-)scan and return FailedPrecondition —
   /// and the kActivity strategy falls back to round-robin, since
@@ -165,13 +163,12 @@ class ShardedReplayEngine {
   /// Single-pass streaming replay: drains `stream` once, broadcasting
   /// fixed-size chunks to every shard through a bounded queue (the
   /// calling thread is the producer; shard workers consume each chunk
-  /// in order). Every shard still sees every interaction, so the result
-  /// is bit-identical to Replay() over the materialized equivalent —
-  /// but the log is never materialized and pipeline buffering stays
-  /// bounded by (stream_queue_chunks + workers) chunks. Enforces
-  /// non-decreasing timestamps like StreamIngestor. Non-decomposable
-  /// specs (or a single shard) drain the stream through the sequential
-  /// tracker instead, same result.
+  /// in order), then adopts the shards into one tracker. The log is
+  /// never materialized and pipeline buffering stays bounded by
+  /// (stream_queue_chunks + workers) chunks. Enforces non-decreasing
+  /// timestamps like StreamIngestor. Non-decomposable specs (or a
+  /// single shard) drain the stream through a sequential
+  /// StreamIngestor instead, same result.
   StatusOr<ShardedReplayResult> ReplayStream(InteractionStream& stream) const;
 
   /// Replays the first min(prefix, log length) interactions — the
@@ -179,9 +176,9 @@ class ShardedReplayEngine {
   StatusOr<ShardedReplayResult> ReplayPrefix(size_t prefix) const;
 
   /// Single-vertex variant for per-query callers (the lazy engine):
-  /// replays the prefix exactly like ReplayPrefix but exchanges only
-  /// `v`'s shard slices, so the materialization cost is O(|list(v)|)
-  /// instead of O(total entries). Bit-identical to
+  /// replays the prefix exactly like ReplayPrefix but interleaves only
+  /// `v`'s shard slices, so the exchange cost is O(|list(v)|) instead
+  /// of O(total entries). Bit-identical to
   /// ReplayPrefix(prefix)->Provenance(v).
   StatusOr<Buffer> QueryPrefix(VertexId v, size_t prefix) const;
 
@@ -204,35 +201,28 @@ class ShardedReplayEngine {
     std::vector<double> seconds;
     size_t num_shards = 0;
     size_t num_threads = 0;
+    size_t interactions = 0;
+    Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
   };
 
   /// True when this spec/params combination shards at all; false means
   /// callers should take their sequential path.
   bool UsesShards(size_t* num_shards) const;
-  /// Label partition + masks for `num_shards` (phase 0), shared by the
-  /// materialized and streaming paths.
+  /// Label partition + masks for `num_shards` (phase 0).
   void PartitionLabels(ShardRun* run, size_t num_shards) const;
-  /// Per-shard entry pre-sizing from an expected interaction count
-  /// (0 = unknown, no reservation).
-  static void ReserveShard(SparseProportionalBase* tracker,
-                           size_t expected_interactions, size_t num_shards);
-  StatusOr<ShardRun> RunShards(size_t prefix, size_t num_shards) const;
+  /// Phase 1: the one shard runner behind every entry point.
   StatusOr<ShardRun> RunShardsStream(InteractionStream& stream,
-                                     size_t num_shards,
-                                     size_t* interactions) const;
-  /// Phase 2 (exchange) + result bookkeeping, shared by ReplayPrefix
-  /// and ReplayStream.
-  ShardedReplayResult AssembleResult(const ShardRun& run,
-                                     size_t interactions_replayed,
-                                     double replay_seconds) const;
-  StatusOr<ShardedReplayResult> SequentialReplay(size_t prefix) const;
+                                     size_t num_shards) const;
+  /// Phase 2 (exchange): adopts the shards into one tracker and fills
+  /// in the result bookkeeping.
+  StatusOr<ShardedReplayResult> AssembleResult(const ShardRun& run,
+                                               double replay_seconds) const;
   StatusOr<ShardedReplayResult> SequentialStreamReplay(
       InteractionStream& stream) const;
-  StatusOr<std::unique_ptr<Tracker>> SequentialTracker(size_t prefix) const;
-  StatusOr<std::unique_ptr<Tracker>> MakeSequentialTracker() const;
+  /// FailedPrecondition unless the engine was built over a log.
+  Status RequireLog() const;
 
   const Tin* tin_;  // null in the streaming-only form
-  DatasetStats stats_;
   ShardedSpec spec_;
   ParallelParams params_;
 };

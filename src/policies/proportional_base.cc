@@ -1,7 +1,6 @@
 #include "policies/proportional_base.h"
 
 #include <algorithm>
-#include <cstring>
 #include <typeinfo>
 
 #include "core/buffer_io.h"
@@ -82,10 +81,11 @@ Status SparseProportionalBase::Process(const Interaction& interaction) {
     OnGenerated(interaction.src, *deficit);
     if (AttributeGeneration(interaction.src)) {
       const ProvPair entry{GenerationLabel(interaction.src), *deficit};
-      // The label filter (sharded replay) diverts non-owned labels into
-      // alpha *after* the subclass hooks, so per-shard hook state (e.g.
-      // Selective's tracked_generated) still evolves exactly as the
-      // sequential tracker's does.
+      // The label filter (sharded replay) skips only the store of a
+      // non-owned label, after the subclass hooks and with the
+      // attributed total still credited below, so hook state (e.g.
+      // Selective's tracked_generated) and the attributed total evolve
+      // in every shard exactly as in the sequential tracker.
       if (label_mask_ == nullptr || (entry.origin < label_mask_size_ &&
                                      label_mask_[entry.origin] != 0)) {
         // Insert the newly generated share at its sorted position.
@@ -101,8 +101,8 @@ Status SparseProportionalBase::Process(const Interaction& interaction) {
           src_buffer.insert(it, entry);
           ++num_entries_;
         }
-        attributed_generated_ += *deficit;
       }
+      attributed_generated_ += *deficit;
     }
     totals_[interaction.src] += *deficit;
   }
@@ -151,105 +151,36 @@ Status SparseProportionalBase::Process(const Interaction& interaction) {
   return Status::Ok();
 }
 
-Status SparseProportionalBase::ProcessVertexSharded(
-    const Interaction& interaction, bool own_src, bool own_dst,
-    SparseVector* outgoing, const ProvPair* incoming, size_t incoming_len) {
-  if (own_src && own_dst) return Process(interaction);
-
-  // Mirrors Process() step for step — any change there needs its twin
-  // here, and the sharded-ingest equivalence tests in
-  // tests/test_parallel.cc pin the two together bit-for-bit. List work
-  // runs only on owned vertices; everything scalar is replicated.
-  auto deficit = CheckAndComputeDeficit(interaction, totals_);
-  if (!deficit.ok()) return deficit.status();
-  TINPROV_COUNTER_ADD("tracker.interactions", 1);
-  if (*deficit > 0.0) {
-    OnGenerated(interaction.src, *deficit);
-    if (AttributeGeneration(interaction.src)) {
-      if (own_src) {
-        SparseVector& src_buffer = buffers_[interaction.src];
-        const ProvPair entry{GenerationLabel(interaction.src), *deficit};
-        auto it = std::lower_bound(src_buffer.begin(), src_buffer.end(),
-                                   entry.origin,
-                                   [](const ProvPair& p, VertexId origin) {
-                                     return p.origin < origin;
-                                   });
-        if (it != src_buffer.end() && it->origin == entry.origin) {
-          it->quantity += entry.quantity;
-        } else {
-          if (src_buffer.empty()) ++num_nonempty_;
-          src_buffer.insert(it, entry);
-          ++num_entries_;
-        }
+void InterleaveLabelSlices(
+    const std::vector<std::unique_ptr<SparseProportionalBase>>& shards,
+    VertexId v, std::vector<ProvPair>* out, std::vector<size_t>* cursor) {
+  // Repeated min-head selection: shard counts are small, and the slices
+  // are disjoint, so ties are impossible.
+  const size_t count = shards.size();
+  cursor->assign(count, 0);
+  size_t total_len = 0;
+  for (const auto& shard : shards) total_len += shard->EntriesOf(v).size();
+  out->reserve(out->size() + total_len);
+  for (size_t picked = 0; picked < total_len; ++picked) {
+    size_t best = count;
+    VertexId best_origin = kInvalidVertex;
+    for (size_t s = 0; s < count; ++s) {
+      const SparseVector& list = shards[s]->EntriesOf(v);
+      if ((*cursor)[s] < list.size() &&
+          (best == count || list[(*cursor)[s]].origin < best_origin)) {
+        best = s;
+        best_origin = list[(*cursor)[s]].origin;
       }
-      // Replicated even when the insert was another shard's: alpha and
-      // the attributed total must agree across shards bit-for-bit.
-      attributed_generated_ += *deficit;
     }
-    totals_[interaction.src] += *deficit;
+    out->push_back(shards[best]->EntriesOf(v)[(*cursor)[best]]);
+    ++(*cursor)[best];
   }
-
-  if (interaction.quantity == 0.0 || interaction.src == interaction.dst) {
-    AfterInteraction(interaction);
-    return Status::Ok();
-  }
-
-  const double fraction =
-      std::min(1.0, interaction.quantity / totals_[interaction.src]);
-  if (own_src) {
-    // Source side of a cross-shard transfer: export the moved share
-    // (pre-scaled — the receiver merges at factor 1.0, and x * 1.0 is
-    // exact, so the split rounds exactly like Process()'s fused merge)
-    // and apply the source-keeps-(1 - f) update.
-    SparseVector& src_buffer = buffers_[interaction.src];
-    outgoing->clear();
-    if (fraction >= 1.0) {
-      outgoing->ResizeUninitialized(src_buffer.size());
-      std::memcpy(static_cast<void*>(outgoing->data()), src_buffer.data(),
-                  src_buffer.size() * sizeof(ProvPair));
-      num_entries_ -= src_buffer.size();
-      if (!src_buffer.empty()) --num_nonempty_;
-      src_buffer.clear();
-    } else if (!src_buffer.empty()) {
-      outgoing->ResizeUninitialized(src_buffer.size());
-      simd::ScaleCopyPairs(outgoing->data(), src_buffer.data(), fraction,
-                           src_buffer.size());
-      simd::ScalePairsInPlace(src_buffer.data(), 1.0 - fraction,
-                              src_buffer.size());
-    }
-  } else if (own_dst) {
-    SparseVector& dst_buffer = buffers_[interaction.dst];
-    const size_t dst_before = dst_buffer.size();
-    const bool dst_was_empty = dst_buffer.empty();
-    if (incoming_len > 0) {
-      scratch_.ResizeUninitialized(dst_buffer.size() + incoming_len);
-      const size_t merged = simd::GallopMergeScaled(
-          scratch_.data(), dst_buffer.data(), dst_buffer.size(), incoming,
-          incoming_len, 1.0);
-      scratch_.ResizeUninitialized(merged);
-      dst_buffer.swap(scratch_);
-    }
-    if (dst_was_empty && !dst_buffer.empty()) ++num_nonempty_;
-    num_entries_ += dst_buffer.size() - dst_before;
-    TINPROV_HISTOGRAM_OBSERVE("tracker.list_len", dst_buffer.size());
-  }
-  totals_[interaction.src] -= interaction.quantity;
-  totals_[interaction.dst] += interaction.quantity;
-  AfterInteraction(interaction);
-  return Status::Ok();
 }
 
-Status SparseProportionalBase::AdoptVertexShards(
-    const std::vector<std::unique_ptr<SparseProportionalBase>>& shards,
-    const std::vector<uint32_t>& owner) {
+Status SparseProportionalBase::AdoptLabelShards(
+    const std::vector<std::unique_ptr<SparseProportionalBase>>& shards) {
   if (shards.empty()) {
     return Status::InvalidArgument("no shards to adopt");
-  }
-  if (owner.size() != totals_.size()) {
-    return Status::InvalidArgument("owner map covers " +
-                                   std::to_string(owner.size()) + " of " +
-                                   std::to_string(totals_.size()) +
-                                   " vertices");
   }
   if (num_entries_ != 0 || total_generated_ != 0.0) {
     return Status::FailedPrecondition(
@@ -262,37 +193,25 @@ Status SparseProportionalBase::AdoptVertexShards(
           "shard tracker missing or of a different type/shape");
     }
   }
-  // The replicated scalars are the divergence witness: the vertex-
-  // sharded ingest replays them identically in every shard, so any
-  // mismatch means the tracker is not vertex-decomposable.
-  for (size_t s = 1; s < shards.size(); ++s) {
-    if (shards[s]->total_generated_ != shards[0]->total_generated_ ||
-        shards[s]->attributed_generated_ != shards[0]->attributed_generated_) {
-      return Status::Internal("shard " + std::to_string(s) +
-                              " replicated state diverged from shard 0");
-    }
+  std::vector<ProvPair> merged;
+  std::vector<size_t> cursor;
+  for (VertexId v = 0; v < totals_.size(); ++v) {
+    merged.clear();
+    InterleaveLabelSlices(shards, v, &merged, &cursor);
+    buffers_[v].assign(merged.data(), merged.data() + merged.size());
+    num_entries_ += merged.size();
+    if (!merged.empty()) ++num_nonempty_;
   }
-  for (size_t v = 0; v < totals_.size(); ++v) {
-    if (owner[v] >= shards.size()) {
-      return Status::InvalidArgument("owner map names shard " +
-                                     std::to_string(owner[v]) + " of " +
-                                     std::to_string(shards.size()));
-    }
-    const SparseProportionalBase& from = *shards[owner[v]];
-    totals_[v] = from.totals_[v];
-    const SparseVector& list = from.buffers_[v];
-    buffers_[v].assign(list.data(), list.data() + list.size());
-    num_entries_ += list.size();
-    if (!list.empty()) ++num_nonempty_;
-  }
-  total_generated_ = shards[0]->total_generated_;
-  attributed_generated_ = shards[0]->attributed_generated_;
+  const SparseProportionalBase& replica = *shards[0];
+  totals_ = replica.totals_;
+  total_generated_ = replica.total_generated_;
+  attributed_generated_ = replica.attributed_generated_;
   // Aux state (window position, selective stats, ...) is replicated
   // too; round-trip shard 0's through the snapshot hooks so every
   // subclass adopts it without a dedicated virtual.
   std::vector<uint8_t> aux;
   ByteWriter writer(&aux);
-  shards[0]->SaveAuxState(&writer);
+  replica.SaveAuxState(&writer);
   ByteReader reader(aux.data(), aux.size());
   Status status = RestoreAuxState(&reader);
   if (!status.ok()) return status;

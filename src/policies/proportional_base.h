@@ -49,6 +49,17 @@ void MergeScaled(SparseVector* dst, const SparseVector& src, double fraction);
 void MergeScaledInto(SparseVector* out, const SparseVector& a,
                      const SparseVector& b, double fraction);
 
+class SparseProportionalBase;
+
+/// Appends v's full provenance list, label-sorted, to `out`, built from
+/// label shards whose lists hold disjoint label slices (see
+/// RestrictLabels). A pure interleave by label — no arithmetic — so
+/// the result is deterministic and bit-identical to the unrestricted
+/// tracker's list. `cursor` is scratch, resized as needed.
+void InterleaveLabelSlices(
+    const std::vector<std::unique_ptr<SparseProportionalBase>>& shards,
+    VertexId v, std::vector<ProvPair>* out, std::vector<size_t>* cursor);
+
 class SparseProportionalBase : public Tracker {
  public:
   Status Process(const Interaction& interaction) final;
@@ -67,21 +78,23 @@ class SparseProportionalBase : public Tracker {
   /// incrementally so Figure 6's average-list-length probe is O(1).
   size_t num_nonempty() const { return num_nonempty_; }
 
-  /// Restricts attribution to generation labels with mask[label] != 0;
-  /// everything else joins the alpha residue exactly as if
-  /// AttributeGeneration had declined it. `mask` (of `size` labels) is
-  /// borrowed and must outlive the tracker; nullptr lifts the
-  /// restriction. This is the parallel sharded-replay hook
-  /// (src/parallel/sharded_replay.h): the pro-rata transfer is linear
-  /// per label, so a shard that owns a label subset replays the full
-  /// log and reproduces exactly that subset of every list, bit-for-bit.
+  /// Restricts the lists to generation labels with mask[label] != 0:
+  /// quantity generated under any other label still raises balances
+  /// and the attributed total — both are replicated state every shard
+  /// keeps exactly as the unrestricted tracker does — but is never
+  /// stored. `mask` (of `size` labels) is borrowed and must outlive the
+  /// tracker; nullptr lifts the restriction. This is the sharded-replay
+  /// hook (src/parallel/sharded_replay.h): the pro-rata transfer is
+  /// linear per label, so a shard that owns a label subset replays the
+  /// full log and reproduces exactly that subset of every list,
+  /// bit-for-bit, and AdoptLabelShards reassembles the full tracker.
   void RestrictLabels(const uint8_t* mask, size_t size) {
     label_mask_ = mask;
     label_mask_size_ = size;
   }
 
-  /// Read-only view of v's provenance list — the deterministic exchange
-  /// phase of sharded replay interleaves these across shards.
+  /// Read-only view of v's provenance list; InterleaveLabelSlices
+  /// merges these across label shards.
   const SparseVector& EntriesOf(VertexId v) const { return buffers_[v]; }
 
   /// Pre-sizes the pool for about `count` standing tuples.
@@ -91,51 +104,27 @@ class SparseProportionalBase : public Tracker {
   /// allocator-level footprint, distinct from the logical MemoryUsage().
   size_t PoolBytesReserved() const { return pool_.bytes_reserved(); }
 
-  // --- Vertex-sharded ingest hooks (src/parallel/sharded_ingest.h) ---
-  //
-  // The pro-rata transfer is also linear per *list*: each interaction
-  // reads src's list, writes dst's list, and touches nothing else, so a
-  // shard owning a subset of the vertices can maintain exactly its
-  // lists — provided it still sees every interaction. Balances,
-  // deficits, and the attribution accounting are therefore REPLICATED:
-  // every shard replays them for the full stream (they are O(1) scalar
-  // work per interaction, the Amdahl floor the label-sharded replay
-  // already pays), which keeps `fraction` locally computable, makes
-  // total_generated/attributed bit-identical in every shard (the
-  // divergence witness), and leaves only the transferred pair list to
-  // exchange between shards.
-
-  /// One interaction as seen by a shard that owns `own_src`/`own_dst`
-  /// of its endpoints. Owning both is exactly Process(); owning neither
-  /// replays the replicated bookkeeping only. Owning just the source
-  /// additionally writes the transferred share — already scaled by
-  /// `fraction`, so the receiver merges it at factor 1.0, which is
-  /// bit-exact — into `*outgoing` (cleared first; required non-null
-  /// when quantity > 0 and src != dst). Owning just the destination
-  /// merges `incoming[0..incoming_len)`, the source shard's outgoing
-  /// list for this same interaction, into dst's list.
-  Status ProcessVertexSharded(const Interaction& interaction, bool own_src,
-                              bool own_dst, SparseVector* outgoing,
-                              const ProvPair* incoming, size_t incoming_len);
-
-  /// Merges vertex-sharded ingest results into this freshly
-  /// constructed tracker: per-vertex lists and balances come from each
-  /// vertex's owning shard (`owner[v]` indexes `shards`), replicated
-  /// state from shard 0 after verifying the shards agree bit-for-bit.
-  /// All trackers must share this tracker's dynamic type and
-  /// configuration. On success this tracker is bit-identical to a
-  /// sequential ingest of the same stream — snapshots, further
-  /// Process() calls, and queries cannot tell the difference.
-  Status AdoptVertexShards(
-      const std::vector<std::unique_ptr<SparseProportionalBase>>& shards,
-      const std::vector<uint32_t>& owner);
+  /// Builds this freshly constructed tracker from label shards:
+  /// trackers of this one's type and configuration that each processed
+  /// the same stream under RestrictLabels over disjoint label sets.
+  /// Each vertex's list becomes the label interleave of its shard
+  /// slices; balances, total_generated, the attributed total and aux
+  /// state are replicated in every shard and come from shard 0, so the
+  /// caller must have checked that the shards agree (the sharded replay
+  /// engine does). On success this tracker is bit-identical to one
+  /// that processed the stream itself — snapshots, further Process()
+  /// calls and queries cannot tell the difference.
+  Status AdoptLabelShards(
+      const std::vector<std::unique_ptr<SparseProportionalBase>>& shards);
 
   /// The paper's alpha: generated quantity whose provenance is NOT
-  /// recorded in any list (declined attribution, masked labels, window
-  /// resets, budget shrinks). Maintained incrementally — the standing
-  /// attributed quantity is credited at insert time and debited when
-  /// tuples are dropped; pro-rata transfers only move tuples between
-  /// lists, so they leave it unchanged. Zero for the exact policy.
+  /// recorded in any list (declined attribution, window resets, budget
+  /// shrinks). Maintained incrementally — the standing attributed
+  /// quantity is credited at insert time and debited when tuples are
+  /// dropped; pro-rata transfers only move tuples between lists, so
+  /// they leave it unchanged. Zero for the exact policy. A label shard
+  /// (RestrictLabels) reports the unrestricted tracker's value: labels
+  /// it does not store are another shard's lists, not alpha.
   double AlphaResidue() const {
     return total_generated() - attributed_generated_;
   }

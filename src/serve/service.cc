@@ -14,7 +14,7 @@
 #include "obs/slowlog.h"
 #include "obs/trace.h"
 #include "parallel/scheduler.h"
-#include "parallel/sharded_ingest.h"
+#include "parallel/sharded_replay.h"
 #include "util/cpu.h"
 
 namespace tinprov {
@@ -460,20 +460,20 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
 
   auto sharded = TrackerRegistry::Global().Sharded(tracker_spec_, stats_);
   if (!sharded.ok()) return sharded.status();
-  IngestOptions ingest_options;
-  ingest_options.batch_size =
-      std::min(options_.ingest_batch, options_.epoch_interval);
-  ShardedIngestEngine engine(stats_, *std::move(sharded), options_.catchup,
-                             ingest_options);
+  ShardedReplayEngine engine(stats_, *std::move(sharded), options_.catchup);
   // The tee keeps the retained log covering the catchup range, so
   // historical delta replays work across it; the engine's producer runs
   // on this thread, which owns the writer-side state until Start().
   LogSink sink(this, stream.get());
-  auto result = engine.IngestStream(sink);
+  Stopwatch watch;
+  auto result = engine.ReplayStream(sink);
   if (!result.ok()) return result.status();
 
   live_tracker_ = std::move(result->tracker);
-  catchup_stats_ = result->stats;
+  catchup_stats_.interactions = result->interactions_replayed;
+  catchup_stats_.watermark = result->watermark;
+  catchup_stats_.tracker_peak_memory = live_tracker_->MemoryUsage();
+  catchup_stats_.seconds = watch.ElapsedSeconds();
   caught_up_ = true;
   prefix_base_ = catchup_stats_.interactions;
   resume_watermark_ = std::max(resume_watermark_, catchup_stats_.watermark);
@@ -519,6 +519,11 @@ Status ProvenanceService::WaitIngest() {
 
 EpochInfo ProvenanceService::LatestEpoch() const {
   return PinView()->Latest().info;
+}
+
+std::shared_ptr<const std::vector<uint8_t>>
+ProvenanceService::LatestEpochState() const {
+  return PinView()->Latest().state;
 }
 
 QueryResult ProvenanceService::Provenance(VertexId v) const {
@@ -734,7 +739,7 @@ std::string ProvenanceService::StatuszJson() const {
                                         : 0.0);
   out += ",\"slow_recorded\":" + std::to_string(slow.recorded());
   // The runtime block: which kernel table this process dispatches to
-  // (fixed at startup; see util/cpu.h) and the scheduler's shape.
+  // (fixed at startup; see util/cpu.h) and the host's thread count.
   out += "},\"runtime\":{\"simd\":\"";
   out += cpu::SimdLevelName(cpu::ActiveSimdLevel());
   out += "\",\"simd_detected\":\"";
@@ -742,10 +747,6 @@ std::string ProvenanceService::StatuszJson() const {
   out += "\",\"avx512\":";
   out += cpu::DetectAvx512() ? "true" : "false";
   out += ",\"num_threads\":" + std::to_string(HardwareThreads());
-  out += ",\"parallel_tasks\":" +
-         std::to_string(registry.GetCounter("parallel.tasks")->Value());
-  out += ",\"parallel_steals\":" +
-         std::to_string(registry.GetCounter("parallel.steals")->Value());
   out += "},\"memory\":{\"total_bytes\":" + JsonDouble(registry.MemoryBytes());
   for (const auto& [name, value] : registry.GaugeValues()) {
     if (name.rfind("memory.", 0) != 0) continue;

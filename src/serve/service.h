@@ -133,10 +133,11 @@ struct ServeOptions {
   /// direct query methods never use the pool either way.
   size_t num_query_threads = 0;
 
-  /// Shard/thread layout for Catchup()'s vertex-sharded bulk ingest
-  /// (parallel/sharded_ingest.h). Defaults shard one-per-hardware-
-  /// thread; the spec decides whether sharding is sound, so a
-  /// non-decomposable tracker silently takes the sequential path.
+  /// Shard/thread layout for Catchup()'s label-sharded bulk load
+  /// (parallel/sharded_replay.h). Defaults shard one-per-hardware-
+  /// thread, clamped to the tracker's label space; the spec decides
+  /// whether sharding is sound, so a non-decomposable tracker silently
+  /// takes the sequential path.
   ParallelParams catchup;
 
   // --- Ops plane (EnableOpsServer / the slow-query log) ------------------
@@ -193,9 +194,10 @@ class ProvenanceService {
   // --- Writer side -------------------------------------------------------
 
   /// Bulk-loads historical data before serving begins: drains `stream`
-  /// (owned) through the vertex-sharded parallel ingest engine on the
-  /// calling thread, installs the resulting tracker — bit-identical to
-  /// a sequential ingest of the same stream — as the live tracker, and
+  /// (owned) through the label-sharded replay engine (the calling
+  /// thread produces, shard workers consume), installs the adopted
+  /// tracker — bit-identical to a sequential ingest of the same stream,
+  /// SaveState bytes included — as the live tracker, and
   /// publishes it as an epoch. Start() then continues with the live
   /// tail from the catchup watermark. Must run before Start(), at most
   /// once, from empty state (no handoff index) and with durability off
@@ -205,8 +207,9 @@ class ProvenanceService {
   /// the writer had ingested it.
   Status Catchup(std::unique_ptr<InteractionStream> stream);
 
-  /// Catchup accounting (parallel or fallback path). Valid after a
-  /// successful Catchup().
+  /// Catchup accounting (parallel or fallback path): interactions,
+  /// watermark, final tracker memory and wall time; the batch fields
+  /// stay zero. Valid after a successful Catchup().
   const IngestStats& catchup_stats() const { return catchup_stats_; }
 
   /// Starts the writer thread ingesting `stream` (owned). One ingest per
@@ -253,6 +256,11 @@ class ProvenanceService {
 
   /// Identity of the newest published epoch.
   EpochInfo LatestEpoch() const;
+
+  /// The newest epoch's SaveState byte image. Restoring it into a
+  /// tracker built from the same spec exposes state no query shows
+  /// (the alpha residue, window positions).
+  std::shared_ptr<const std::vector<uint8_t>> LatestEpochState() const;
 
   size_t num_query_threads() const { return pool_->num_threads(); }
   size_t num_vertices() const { return stats_.num_vertices; }

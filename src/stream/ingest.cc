@@ -9,6 +9,15 @@
 
 namespace tinprov {
 
+Status TimeOrderViolation(size_t batch, size_t index, Timestamp t,
+                          Timestamp watermark) {
+  return Status::InvalidArgument(
+      "stream batch " + std::to_string(batch) + " interaction " +
+      std::to_string(index) + " has timestamp " + std::to_string(t) +
+      " below the watermark " + std::to_string(watermark) +
+      " — wrap the source in a SortingStream");
+}
+
 StreamIngestor::StreamIngestor(Tracker* tracker, IngestOptions options)
     : tracker_(tracker),
       options_(options),
@@ -30,12 +39,9 @@ Status StreamIngestor::IngestBatch(InteractionStream& stream, bool* done) {
   Interaction interaction;
   while (batch_.size() < options_.batch_size && stream.Next(&interaction)) {
     if (options_.enforce_time_order && interaction.t < pull_watermark_) {
-      return Status::InvalidArgument(
-          "stream batch " + std::to_string(stats_.batches) + " interaction " +
-          std::to_string(stats_.interactions + batch_.size()) +
-          " has timestamp " + std::to_string(interaction.t) +
-          " below the watermark " + std::to_string(pull_watermark_) +
-          " — wrap the source in a SortingStream");
+      return TimeOrderViolation(stats_.batches,
+                                stats_.interactions + batch_.size(),
+                                interaction.t, pull_watermark_);
     }
     // The pull-side watermark advances immediately so the order check
     // also covers disorder *within* this batch; the published

@@ -106,6 +106,13 @@ class StreamIngestor {
   bool reserved_ = false;
 };
 
+/// The InvalidArgument every stream consumer returns when interaction
+/// `index` (of batch `batch`) has timestamp `t` below `watermark`, so
+/// StreamIngestor and the sharded replay's producer report disorder
+/// identically.
+Status TimeOrderViolation(size_t batch, size_t index, Timestamp t,
+                          Timestamp watermark);
+
 /// Registers the ingest-side health checks with `registry` (the ops
 /// plane calls this from ProvenanceService::EnableOpsServer):
 ///   ingest.watermark_lag  healthy while the pull-side watermark leads

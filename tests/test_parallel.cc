@@ -9,7 +9,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <chrono>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,7 +21,6 @@
 #include "datagen/generator.h"
 #include "lazy/replay.h"
 #include "parallel/scheduler.h"
-#include "parallel/sharded_ingest.h"
 #include "parallel/sharded_replay.h"
 #include "policies/tracker.h"
 #include "stream/ingest.h"
@@ -84,8 +84,32 @@ void ExpectSameBuffer(const Buffer& expected, const Buffer& actual,
   }
 }
 
+std::vector<uint8_t> StateBytes(const Tracker& tracker) {
+  std::vector<uint8_t> bytes;
+  tracker.SaveState(&bytes);
+  return bytes;
+}
+
+// Totals and lists vertex by vertex (readable failures), then the
+// SaveState bytes, which also cover the replicated scalars and aux
+// state (the attributed total, window positions, ...) that queries
+// never show.
+void ExpectSameTrackerState(const Tracker& expected, const Tracker& actual,
+                            const std::string& context) {
+  EXPECT_EQ(expected.total_generated(), actual.total_generated()) << context;
+  ASSERT_EQ(expected.num_vertices(), actual.num_vertices()) << context;
+  for (VertexId v = 0; v < expected.num_vertices(); ++v) {
+    EXPECT_EQ(expected.BufferTotal(v), actual.BufferTotal(v))
+        << context << " vertex " << v;
+    ExpectSameBuffer(expected.Provenance(v), actual.Provenance(v),
+                     context + " vertex " + std::to_string(v));
+  }
+  EXPECT_TRUE(StateBytes(expected) == StateBytes(actual))
+      << context << ": SaveState bytes differ";
+}
+
 // Replays `tin` sequentially through the named tracker and checks the
-// sharded result against it, vertex by vertex.
+// sharded result against it, vertex by vertex and byte for byte.
 void ExpectBitIdentical(const Tin& tin, const std::string& name,
                         const ParallelParams& parallel,
                         const std::string& context) {
@@ -100,13 +124,8 @@ void ExpectBitIdentical(const Tin& tin, const std::string& name,
   auto result = engine.Replay();
   ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
 
-  EXPECT_EQ((*eager)->total_generated(), result->total_generated) << context;
   EXPECT_EQ(result->interactions_replayed, tin.num_interactions()) << context;
-  for (VertexId v = 0; v < tin.num_vertices(); ++v) {
-    ExpectSameBuffer((*eager)->Provenance(v), result->Provenance(v),
-                     context + " vertex " + std::to_string(v));
-    EXPECT_EQ((*eager)->BufferTotal(v), result->BufferTotal(v)) << context;
-  }
+  ExpectSameTrackerState(**eager, *result->tracker, context);
 }
 
 bool NotAlnum(char c) { return !std::isalnum(static_cast<unsigned char>(c)); }
@@ -166,8 +185,7 @@ TEST_P(ShardedReplayTest, EmptyDatasetYieldsEmptyState) {
   ShardedReplayEngine engine(tin, *std::move(spec), parallel);
   auto result = engine.Replay();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->total_generated, 0.0);
-  EXPECT_EQ(result->num_entries, 0u);
+  EXPECT_EQ(result->tracker->total_generated(), 0.0);
   for (VertexId v = 0; v < 5; ++v) {
     EXPECT_EQ(result->BufferTotal(v), 0.0);
     EXPECT_TRUE(result->Provenance(v).entries.empty());
@@ -195,11 +213,7 @@ TEST_P(ShardedReplayTest, PrefixReplayMatchesSequentialPrefix) {
   auto result = engine.ReplayPrefix(prefix);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->interactions_replayed, prefix);
-  EXPECT_EQ(eager->total_generated(), result->total_generated);
-  for (VertexId v = 0; v < tin.num_vertices(); ++v) {
-    ExpectSameBuffer(eager->Provenance(v), result->Provenance(v),
-                     GetParam() + "/prefix vertex " + std::to_string(v));
-  }
+  ExpectSameTrackerState(*eager, *result->tracker, GetParam() + "/prefix");
 }
 
 TEST_P(ShardedReplayTest, RepeatedRunsAreDeterministic) {
@@ -216,12 +230,8 @@ TEST_P(ShardedReplayTest, RepeatedRunsAreDeterministic) {
   auto second = engine.Replay();
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first->total_generated, second->total_generated);
-  EXPECT_EQ(first->num_entries, second->num_entries);
-  for (VertexId v = 0; v < tin.num_vertices(); ++v) {
-    ExpectSameBuffer(first->Provenance(v), second->Provenance(v),
-                     GetParam() + "/determinism vertex " + std::to_string(v));
-  }
+  ExpectSameTrackerState(*first->tracker, *second->tracker,
+                         GetParam() + "/determinism");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTrackerNames, ShardedReplayTest,
@@ -370,20 +380,8 @@ TEST(ParallelWiringTest, MeasureTrackerParallelOptionRuns) {
 }
 
 // ---------------------------------------------------------------------
-// (d) Vertex-sharded ingest == sequential StreamIngestor, bit for bit,
-// for every decomposable registry tracker.
-
-void ExpectSameTrackerState(const Tracker& expected, const Tracker& actual,
-                            const std::string& context) {
-  EXPECT_EQ(expected.total_generated(), actual.total_generated()) << context;
-  ASSERT_EQ(expected.num_vertices(), actual.num_vertices()) << context;
-  for (VertexId v = 0; v < expected.num_vertices(); ++v) {
-    EXPECT_EQ(expected.BufferTotal(v), actual.BufferTotal(v))
-        << context << " vertex " << v;
-    ExpectSameBuffer(expected.Provenance(v), actual.Provenance(v),
-                     context + " vertex " + std::to_string(v));
-  }
-}
+// (d) Sharded stream ingest — the Catchup path — == sequential
+// StreamIngestor, bit for bit, for every registry tracker.
 
 // Ingests `tin`'s log as a stream through both paths — sequential
 // StreamIngestor on spec.sequential(), and the sharded engine — and
@@ -404,17 +402,16 @@ void ExpectIngestBitIdentical(const Tin& tin, const std::string& name,
   MaterializedStream reference_stream(tin);
   ASSERT_TRUE(ingestor.IngestAll(reference_stream).ok()) << context;
 
-  ShardedIngestEngine engine(tin.Stats(), *std::move(spec), parallel,
-                             options);
+  ShardedReplayEngine engine(tin.Stats(), *std::move(spec), parallel);
   MaterializedStream stream(tin);
-  auto result = engine.IngestStream(stream);
+  auto result = engine.ReplayStream(stream);
   ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
   EXPECT_EQ(result->used_parallel_path, expect_parallel_path) << context;
 
   ExpectSameTrackerState(*reference, *result->tracker, context);
-  EXPECT_EQ(result->stats.interactions, ingestor.stats().interactions)
+  EXPECT_EQ(result->interactions_replayed, ingestor.stats().interactions)
       << context;
-  EXPECT_EQ(result->stats.watermark, ingestor.stats().watermark) << context;
+  EXPECT_EQ(result->watermark, ingestor.stats().watermark) << context;
 }
 
 class ShardedIngestTest : public ::testing::TestWithParam<std::string> {};
@@ -433,7 +430,7 @@ TEST_P(ShardedIngestTest, ShardCountSweepMatches) {
   const Tin tin = GeneratedTin();
   for (const size_t shards : {size_t{2}, size_t{3}, size_t{7}}) {
     ParallelParams parallel;
-    parallel.num_threads = shards;  // shards and workers are 1:1 here
+    parallel.num_threads = 3;  // 7 shards: workers own several each
     parallel.num_shards = shards;
     ExpectIngestBitIdentical(tin, GetParam(), parallel,
                              GetParam() + "/ingest-shards" +
@@ -442,8 +439,8 @@ TEST_P(ShardedIngestTest, ShardCountSweepMatches) {
 }
 
 TEST_P(ShardedIngestTest, HandBuiltTinMatches) {
-  // 5 vertices, self-loop, deficit generation: the cross-shard exchange
-  // fires on nearly every interaction.
+  // 5 vertices, self-loop, deficit generation, and chunks of two
+  // interactions: every chunk boundary lands mid-flow.
   ParallelParams parallel;
   parallel.num_threads = 3;
   parallel.num_shards = 3;
@@ -461,9 +458,9 @@ TEST_P(ShardedIngestTest, RepeatedRunsAreDeterministic) {
     auto spec = TrackerRegistry::Global().Sharded(
         {GetParam(), TestParams(), TrackerMode::kStreaming}, tin.Stats());
     EXPECT_TRUE(spec.ok());
-    ShardedIngestEngine engine(tin.Stats(), *std::move(spec), parallel);
+    ShardedReplayEngine engine(tin.Stats(), *std::move(spec), parallel);
     MaterializedStream stream(tin);
-    return engine.IngestStream(stream);
+    return engine.ReplayStream(stream);
   };
   auto first = make_result();
   auto second = make_result();
@@ -478,7 +475,7 @@ INSTANTIATE_TEST_SUITE_P(DecomposableNames, ShardedIngestTest,
                                            "Selective", "Grouped"),
                          SanitizeName);
 
-TEST(ShardedIngestEngineTest, NonDecomposableNamesFallBackSequentially) {
+TEST(ShardedIngestPathTest, NonDecomposableNamesFallBackSequentially) {
   const Tin tin = GeneratedTin();
   ParallelParams parallel;
   parallel.num_threads = 4;
@@ -489,193 +486,72 @@ TEST(ShardedIngestEngineTest, NonDecomposableNamesFallBackSequentially) {
   }
 }
 
-TEST(ShardedIngestEngineTest, SingleThreadFallsBackSequentially) {
+TEST(ShardedIngestPathTest, SingleThreadStillShardsInline) {
+  // Shards are not clamped to threads: one worker runs all four on the
+  // caller's thread, with no queue.
   ParallelParams parallel;
   parallel.num_threads = 1;
-  parallel.num_shards = 4;  // shards clamp to threads: 1 shard, fallback
+  parallel.num_shards = 4;
   ExpectIngestBitIdentical(GeneratedTin(), "Prop-sparse", parallel,
-                           "Prop-sparse/ingest-1-thread",
-                           /*expect_parallel_path=*/false);
+                           "Prop-sparse/ingest-1-thread");
 }
 
-TEST(ShardedIngestEngineTest, SinkForcesSequentialFallback) {
-  // A durability sink must observe batches after the tracker applied
-  // them — that contract serializes, so the engine must not shard.
-  class CountingSink : public BatchSink {
-   public:
-    Status OnBatch(const Interaction*, size_t count) override {
-      interactions += count;
-      ++batches;
-      return Status::Ok();
-    }
-    size_t interactions = 0;
-    size_t batches = 0;
-  };
-
-  const Tin tin = GeneratedTin();
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"Prop-sparse", TestParams(), TrackerMode::kStreaming}, tin.Stats());
-  ASSERT_TRUE(spec.ok());
-  CountingSink sink;
-  IngestOptions options;
-  options.sink = &sink;
-  ParallelParams parallel;
-  parallel.num_threads = 4;
-  ShardedIngestEngine engine(tin.Stats(), *std::move(spec), parallel,
-                             options);
-  MaterializedStream stream(tin);
-  auto result = engine.IngestStream(stream);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(result->used_parallel_path);
-  EXPECT_EQ(sink.interactions, tin.num_interactions());
-  EXPECT_EQ(sink.batches, result->stats.batches);
-}
-
-TEST(ShardedIngestEngineTest, ParallelPathRejectsOutOfOrderStream) {
-  std::vector<Interaction> disordered;
-  for (size_t i = 0; i < 200; ++i) {
-    Interaction interaction;
-    interaction.src = static_cast<VertexId>(i % 9);
-    interaction.dst = static_cast<VertexId>((i + 4) % 9);
-    interaction.t = static_cast<Timestamp>(i + 1);
-    interaction.quantity = 1.0;
-    disordered.push_back(interaction);
-  }
-  std::swap(disordered[50], disordered[150]);
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"Prop-sparse", TestParams(), TrackerMode::kStreaming},
-      DatasetStats{9, 200});
-  ASSERT_TRUE(spec.ok());
-  ParallelParams parallel;
-  parallel.num_threads = 3;
-  parallel.stream_chunk = 16;
-  ShardedIngestEngine engine(DatasetStats{9, 200}, *std::move(spec),
-                             parallel);
-  EXPECT_TRUE(engine.ResolvedShards() > 1);
-  VectorStream stream(9, disordered);
-  auto result = engine.IngestStream(stream);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ShardedIngestEngineTest, EmptyStreamYieldsEmptyTracker) {
+TEST(ShardedIngestPathTest, EmptyStreamYieldsEmptyTracker) {
   auto spec = TrackerRegistry::Global().Sharded(
       {"Prop-sparse", TestParams(), TrackerMode::kStreaming},
       DatasetStats{12, 0});
   ASSERT_TRUE(spec.ok());
   ParallelParams parallel;
   parallel.num_threads = 4;
-  ShardedIngestEngine engine(DatasetStats{12, 0}, *std::move(spec),
+  ShardedReplayEngine engine(DatasetStats{12, 0}, *std::move(spec),
                              parallel);
   VectorStream stream(12, {});
-  auto result = engine.IngestStream(stream);
+  auto result = engine.ReplayStream(stream);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_NE(result->tracker, nullptr);
+  EXPECT_TRUE(result->used_parallel_path);
   EXPECT_EQ(result->tracker->total_generated(), 0.0);
-  EXPECT_EQ(result->stats.interactions, 0u);
+  EXPECT_EQ(result->interactions_replayed, 0u);
   for (VertexId v = 0; v < 12; ++v) {
-    EXPECT_TRUE(result->tracker->Provenance(v).entries.empty());
+    EXPECT_TRUE(result->Provenance(v).entries.empty());
   }
 }
 
-TEST(ShardedIngestEngineTest, ShardInfoAccountsEveryVertexOnce) {
+TEST(ShardedIngestPathTest, ShardInfoAccountsEveryLabelOnce) {
   const Tin tin = GeneratedTin();
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"Prop-sparse", TestParams(), TrackerMode::kStreaming}, tin.Stats());
-  ASSERT_TRUE(spec.ok());
-  ParallelParams parallel;
-  parallel.num_threads = 4;
-  parallel.num_shards = 4;
-  ShardedIngestEngine engine(tin.Stats(), *std::move(spec), parallel);
-  MaterializedStream stream(tin);
-  auto result = engine.IngestStream(stream);
-  ASSERT_TRUE(result.ok());
-  ASSERT_TRUE(result->used_parallel_path);
-  ASSERT_EQ(result->shards.size(), result->num_shards);
-  size_t vertices = 0;
-  for (const ShardInfo& shard : result->shards) vertices += shard.labels;
-  EXPECT_EQ(vertices, tin.num_vertices());
-}
-
-TEST(ShardedIngestEngineTest, AssignVerticesIsContiguousAndComplete) {
-  for (const auto& [vertices, shards] :
-       {std::pair<size_t, size_t>{10, 3}, {7, 7}, {100, 4}, {5, 1}}) {
-    const auto owner = ShardedIngestEngine::AssignVertices(vertices, shards);
-    ASSERT_EQ(owner.size(), vertices);
-    std::vector<size_t> counts(shards, 0);
-    for (size_t v = 0; v < vertices; ++v) {
-      ASSERT_LT(owner[v], shards);
-      ++counts[owner[v]];
-      // Contiguous ranges: the owner id never decreases.
-      if (v > 0) {
-        EXPECT_GE(owner[v], owner[v - 1]);
-      }
+  for (const char* name : {"Prop-sparse", "Grouped"}) {
+    auto spec = TrackerRegistry::Global().Sharded(
+        {name, TestParams(), TrackerMode::kStreaming}, tin.Stats());
+    ASSERT_TRUE(spec.ok());
+    const size_t label_count = spec->label_count;
+    ParallelParams parallel;
+    parallel.num_threads = 4;
+    parallel.num_shards = 4;
+    ShardedReplayEngine engine(tin.Stats(), *std::move(spec), parallel);
+    MaterializedStream stream(tin);
+    auto result = engine.ReplayStream(stream);
+    ASSERT_TRUE(result.ok());
+    ASSERT_TRUE(result->used_parallel_path) << name;
+    ASSERT_EQ(result->shards.size(), result->num_shards) << name;
+    size_t labels = 0;
+    size_t entries = 0;
+    for (const ShardInfo& shard : result->shards) {
+      labels += shard.labels;
+      entries += shard.entries;
     }
-    for (size_t s = 0; s < shards; ++s) {
-      EXPECT_GT(counts[s], 0u) << vertices << "/" << shards << " shard " << s;
+    EXPECT_EQ(labels, label_count) << name;
+    // Slices are disjoint, so the adopted tracker holds exactly the
+    // shards' tuples.
+    size_t adopted = 0;
+    for (VertexId v = 0; v < tin.num_vertices(); ++v) {
+      adopted += result->Provenance(v).entries.size();
     }
+    EXPECT_EQ(entries, adopted) << name;
   }
 }
 
 // ---------------------------------------------------------------------
-// (e) Work-stealing scheduler unit tests.
-
-TEST(SchedulerTest, ParallelForCoversEveryIndexExactlyOnce) {
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
-    for (const size_t count :
-         {size_t{0}, size_t{1}, size_t{3}, size_t{64}, size_t{1000}}) {
-      WorkStealingScheduler scheduler(threads);
-      EXPECT_EQ(scheduler.num_threads(), threads);
-      std::vector<std::atomic<int>> hits(count);
-      for (auto& h : hits) h.store(0);
-      scheduler.ParallelFor(count, [&](size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      });
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(hits[i].load(), 1)
-            << "threads=" << threads << " count=" << count << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(SchedulerTest, TasksStatAccumulatesAcrossCalls) {
-  WorkStealingScheduler scheduler(2);
-  scheduler.ParallelFor(10, [](size_t) {});
-  scheduler.ParallelFor(5, [](size_t) {});
-  EXPECT_EQ(scheduler.stats().tasks, 15u);
-}
-
-TEST(SchedulerTest, SingleThreadInlinePathNeverSteals) {
-  WorkStealingScheduler scheduler(1);
-  std::atomic<size_t> sum{0};
-  scheduler.ParallelFor(100, [&](size_t i) {
-    sum.fetch_add(i, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 4950u);
-  EXPECT_EQ(scheduler.stats().tasks, 100u);
-  EXPECT_EQ(scheduler.stats().steals, 0u);
-}
-
-TEST(SchedulerTest, SkewedBodiesStillCoverEverything) {
-  // A few indices are much slower than the rest; with more than one
-  // worker the fast workers drain their deques and steal. Coverage must
-  // hold regardless of how the steal races resolve.
-  WorkStealingScheduler scheduler(4);
-  const size_t count = 200;
-  std::vector<std::atomic<int>> hits(count);
-  for (auto& h : hits) h.store(0);
-  scheduler.ParallelFor(count, [&](size_t i) {
-    if (i < 4) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "i=" << i;
-  }
-  EXPECT_EQ(scheduler.stats().tasks, count);
-}
+// (e) Thread plumbing.
 
 TEST(SchedulerTest, HardwareThreadsIsPositive) {
   EXPECT_GE(HardwareThreads(), 1u);

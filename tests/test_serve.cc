@@ -23,6 +23,7 @@
 #include "lazy/time_travel.h"
 #include "obs/health.h"
 #include "obs/slowlog.h"
+#include "policies/proportional_base.h"
 #include "serve/request_queue.h"
 #include "serve/service.h"
 #include "stream/interaction_stream.h"
@@ -378,13 +379,17 @@ TEST(ServeHistoryTest, HandoffBoundaryMatchesFullReplay) {
 }
 
 // ---------------------------------------------------------------------
-// (d2) Catchup: the vertex-sharded bulk-load before Start() must leave
+// (d2) Catchup: the label-sharded bulk-load before Start() must leave
 // the service indistinguishable from one that ingested everything
-// through the live path.
+// through the live path — for the decomposable trackers (Grouped is
+// the benchmark's Catchup tracker) and for LRB, which takes the
+// sequential fallback.
 
-TEST(ServeCatchupTest, CatchupPlusTailMatchesFullSequentialStart) {
+class ServeCatchupTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServeCatchupTest, CatchupPlusTailMatchesFullSequentialStart) {
   const Tin tin = GeneratedTin();
-  const TrackerSpec spec = StreamingSpec("Prop-sparse");
+  const TrackerSpec spec = StreamingSpec(GetParam());
   const auto& log = tin.interactions();
   const size_t split = tin.num_interactions() / 2;
 
@@ -401,9 +406,15 @@ TEST(ServeCatchupTest, CatchupPlusTailMatchesFullSequentialStart) {
                       tin.num_vertices(), std::move(head)))
                   .ok());
   EXPECT_EQ((*service)->catchup_stats().interactions, split);
-  // The catchup result is immediately queryable at its own epoch.
+  EXPECT_EQ((*service)->catchup_stats().watermark, log[split - 1].t);
+  // The catchup result is immediately queryable at its own epoch, and
+  // that epoch is byte-identical to a sequential ingest of the head.
   EXPECT_EQ((*service)->LatestEpoch().prefix, split);
   EXPECT_EQ((*service)->LatestEpoch().watermark, log[split - 1].t);
+  std::vector<uint8_t> head_state;
+  ReferencePrefix(spec, tin, split)->SaveState(&head_state);
+  EXPECT_TRUE(*(*service)->LatestEpochState() == head_state)
+      << "catchup epoch SaveState bytes differ";
 
   std::vector<Interaction> tail(log.begin() + split, log.end());
   ASSERT_TRUE((*service)
@@ -426,15 +437,36 @@ TEST(ServeCatchupTest, CatchupPlusTailMatchesFullSequentialStart) {
     ExpectSameBuffer(reference->Provenance(v), result.buffer,
                      "catchup vertex " + std::to_string(v));
   }
+
+  // Queries never show the replicated scalars (the attributed total
+  // behind the alpha residue, window positions); the state bytes do.
+  std::vector<uint8_t> reference_state;
+  reference->SaveState(&reference_state);
+  const auto final_state = (*service)->LatestEpochState();
+  EXPECT_TRUE(*final_state == reference_state)
+      << "final epoch SaveState bytes differ";
+  auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
+  ASSERT_TRUE(factory.ok());
+  std::unique_ptr<Tracker> restored = (*factory)();
+  ASSERT_TRUE(restored->RestoreState(*final_state).ok());
+  const auto* expected_pro_rata =
+      dynamic_cast<const SparseProportionalBase*>(reference.get());
+  const auto* actual_pro_rata =
+      dynamic_cast<const SparseProportionalBase*>(restored.get());
+  ASSERT_EQ(expected_pro_rata == nullptr, actual_pro_rata == nullptr);
+  if (expected_pro_rata != nullptr) {
+    EXPECT_EQ(expected_pro_rata->AlphaResidue(),
+              actual_pro_rata->AlphaResidue());
+  }
 }
 
-TEST(ServeCatchupTest, HistoricalQueriesSpanTheCatchupRange) {
+TEST_P(ServeCatchupTest, HistoricalQueriesSpanTheCatchupRange) {
   // retain_history keeps the catchup interactions in the retained log
   // (the engine's stream is teed through it), so Provenance(v, t) for a
   // t inside the caught-up range answers exactly as if the range had
   // been ingested live.
   const Tin tin = GeneratedTin();
-  const TrackerSpec spec = StreamingSpec("Windowed");
+  const TrackerSpec spec = StreamingSpec(GetParam());
   const auto& log = tin.interactions();
   const size_t split = (2 * tin.num_interactions()) / 3;
 
@@ -471,7 +503,38 @@ TEST(ServeCatchupTest, HistoricalQueriesSpanTheCatchupRange) {
   }
 }
 
-TEST(ServeCatchupTest, LifecyclePreconditions) {
+INSTANTIATE_TEST_SUITE_P(Names, ServeCatchupTest,
+                         ::testing::Values("Prop-sparse", "Windowed",
+                                           "Selective", "Grouped", "LRB"),
+                         SanitizeName);
+
+TEST(ServeCatchupApiTest, OutOfOrderCatchupNamesTheOffense) {
+  // Both Catchup paths — label-sharded and the sequential fallback —
+  // report disorder with StreamIngestor's diagnostic: the interaction
+  // index, its timestamp and the watermark it fell below.
+  const Tin tin = GeneratedTin();
+  std::vector<Interaction> head(tin.interactions().begin(),
+                                tin.interactions().begin() + 200);
+  std::swap(head[40], head[120]);
+  const std::string offense =
+      "interaction 41 has timestamp " + std::to_string(head[41].t) +
+      " below the watermark " + std::to_string(head[40].t);
+  ASSERT_LT(head[41].t, head[40].t);
+  for (const char* name : {"Prop-sparse", "LRB"}) {
+    ServeOptions options;
+    options.catchup.num_threads = 3;
+    auto service =
+        ProvenanceService::Create(StreamingSpec(name), tin.Stats(), options);
+    ASSERT_TRUE(service.ok());
+    const Status status = (*service)->Catchup(
+        std::make_unique<VectorStream>(tin.num_vertices(), head));
+    ASSERT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(status.message().find(offense), std::string::npos)
+        << name << ": " << status.message();
+  }
+}
+
+TEST(ServeCatchupApiTest, LifecyclePreconditions) {
   const Tin tin = GeneratedTin();
   const TrackerSpec spec = StreamingSpec("Prop-sparse");
   const auto& log = tin.interactions();

@@ -480,21 +480,21 @@ TEST(StreamingTimeTravelTest, BuildsFromGeneratorStream) {
 void ExpectSameResult(const ShardedReplayResult& expected,
                       const ShardedReplayResult& actual,
                       const std::string& context) {
-  EXPECT_EQ(expected.total_generated, actual.total_generated) << context;
-  EXPECT_EQ(expected.num_entries, actual.num_entries) << context;
-  ASSERT_EQ(expected.num_vertices, actual.num_vertices) << context;
   EXPECT_EQ(expected.interactions_replayed, actual.interactions_replayed)
       << context;
-  for (VertexId v = 0; v < expected.num_vertices; ++v) {
-    EXPECT_EQ(expected.totals[v], actual.totals[v])
-        << context << " vertex " << v;
-    ASSERT_EQ(expected.entries[v].size(), actual.entries[v].size())
-        << context << " vertex " << v;
-    for (size_t i = 0; i < expected.entries[v].size(); ++i) {
-      EXPECT_TRUE(expected.entries[v][i] == actual.entries[v][i])
-          << context << " vertex " << v << " entry " << i;
-    }
+  EXPECT_EQ(expected.watermark, actual.watermark) << context;
+  ASSERT_EQ(expected.tracker->num_vertices(), actual.tracker->num_vertices())
+      << context;
+  for (VertexId v = 0; v < expected.tracker->num_vertices(); ++v) {
+    ExpectSameBuffer(expected.Provenance(v), actual.Provenance(v),
+                     context + " vertex " + std::to_string(v));
   }
+  std::vector<uint8_t> expected_state;
+  std::vector<uint8_t> actual_state;
+  expected.tracker->SaveState(&expected_state);
+  actual.tracker->SaveState(&actual_state);
+  EXPECT_TRUE(expected_state == actual_state)
+      << context << ": SaveState bytes differ";
 }
 
 class ShardedStreamTest : public ::testing::TestWithParam<std::string> {};
@@ -633,6 +633,23 @@ TEST(ShardedStreamTest, RejectsOutOfOrderStream) {
       {"Prop-sparse", TestParams(), TrackerMode::kStreaming},
       DatasetStats{5, 50});
   ASSERT_TRUE(spec.ok());
+  // The shard runner's chunks play StreamIngestor's batches, and both
+  // report disorder through the same diagnostic: after the swap the
+  // stream runs ..., 10, 31, 12, ... so interaction 11 (t=12, in the
+  // second chunk of 8) falls below the watermark 31.
+  ProportionalSparseTracker reference(5);
+  IngestOptions options;
+  options.batch_size = 8;
+  StreamIngestor ingestor(&reference, options);
+  VectorStream reference_stream(5, disordered);
+  const Status expected = ingestor.IngestAll(reference_stream);
+  ASSERT_EQ(expected.code(), StatusCode::kInvalidArgument);
+  const std::string offense = "batch 1 interaction 11 has timestamp " +
+                              std::to_string(Timestamp{12}) +
+                              " below the watermark " +
+                              std::to_string(Timestamp{31});
+  EXPECT_NE(expected.message().find(offense), std::string::npos)
+      << expected.message();
   for (const size_t threads : {size_t{1}, size_t{3}}) {
     ParallelParams parallel;
     parallel.num_threads = threads;
@@ -643,6 +660,8 @@ TEST(ShardedStreamTest, RejectsOutOfOrderStream) {
     const auto result = engine.ReplayStream(stream);
     ASSERT_FALSE(result.ok()) << "threads " << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(result.status().message(), expected.message())
+        << "threads " << threads;
   }
 }
 
