@@ -85,10 +85,10 @@ inline void PrintHeader(const char* experiment_id, const char* description) {
 /// path, writes them on destruction in the shape google-benchmark emits
 /// with --benchmark_format=json: a "context" object and a "benchmarks"
 /// array whose entries carry name / real_time / time_unit (plus our
-/// items_per_second and peak_memory counters). scripts/bench_compare.py
-/// consumes either producer interchangeably. With the variable unset
-/// the reporter is inert, so instrumented benches cost nothing in
-/// normal table runs.
+/// items_per_second, peak_memory and allocator_bytes counters).
+/// scripts/bench_compare.py consumes either producer interchangeably.
+/// With the variable unset the reporter is inert, so instrumented
+/// benches cost nothing in normal table runs.
 class JsonBenchReporter {
  public:
   explicit JsonBenchReporter(const char* executable) {
@@ -102,12 +102,14 @@ class JsonBenchReporter {
 
   bool active() const { return !path_.empty(); }
 
-  /// Records one measurement. `items_per_second` and `peak_memory` are
-  /// omitted from the JSON when zero.
+  /// Records one measurement. `items_per_second`, `peak_memory` and
+  /// `allocator_bytes` are omitted from the JSON when zero.
   void Record(const std::string& name, double real_seconds,
-              double items_per_second = 0.0, size_t peak_memory = 0) {
+              double items_per_second = 0.0, size_t peak_memory = 0,
+              size_t allocator_bytes = 0) {
     if (!active()) return;
-    entries_.push_back({name, real_seconds, items_per_second, peak_memory});
+    entries_.push_back({name, real_seconds, items_per_second, peak_memory,
+                        allocator_bytes});
   }
 
   ~JsonBenchReporter() {
@@ -161,6 +163,10 @@ class JsonBenchReporter {
       if (e.peak_memory > 0) {
         std::fprintf(out, ",\n      \"peak_memory\": %zu", e.peak_memory);
       }
+      if (e.allocator_bytes > 0) {
+        std::fprintf(out, ",\n      \"allocator_bytes\": %zu",
+                     e.allocator_bytes);
+      }
       std::fprintf(out, "\n    }%s\n", i + 1 < entries_.size() ? "," : "");
     }
     // The engine-metrics snapshot rides along with the timings, so
@@ -179,6 +185,7 @@ class JsonBenchReporter {
     double real_seconds;
     double items_per_second;
     size_t peak_memory;
+    size_t allocator_bytes;
   };
 
   static std::string Escaped(const std::string& raw) {

@@ -20,6 +20,8 @@ StatusOr<Measurement> MeasureRun(Tracker* tracker, const Tin& tin,
   // cheap enough not to distort the timing.
   const size_t sample_every = std::max<size_t>(1, stream.size() / 64);
   size_t peak = tracker->MemoryUsage();
+  size_t peak_bytes = tracker->MemoryBytes();
+  double sampling_seconds = 0.0;
   obs::TraceSpan span("analytics.measure_run", "analytics");
   Stopwatch watch;
   for (size_t i = 0; i < stream.size(); ++i) {
@@ -30,12 +32,19 @@ StatusOr<Measurement> MeasureRun(Tracker* tracker, const Tin& tin,
                                        status.message());
     }
     if ((i + 1) % sample_every == 0) {
+      // MemoryBytes() may walk every list (O(|V|) for the heap- and
+      // ring-backed policies), so the samples stay out of the timing.
+      const Stopwatch sample_watch;
       peak = std::max(peak, tracker->MemoryUsage());
+      peak_bytes = std::max(peak_bytes, tracker->MemoryBytes());
+      sampling_seconds += sample_watch.ElapsedSeconds();
     }
   }
   Measurement measurement;
-  measurement.seconds = watch.ElapsedSeconds();
+  measurement.seconds = watch.ElapsedSeconds() - sampling_seconds;
   measurement.peak_memory = std::max(peak, tracker->MemoryUsage());
+  measurement.peak_allocator_bytes =
+      std::max(peak_bytes, tracker->MemoryBytes());
   measurement.feasible = true;
   return measurement;
 }
@@ -59,6 +68,7 @@ StatusOr<Measurement> MeasureStreamRun(Tracker* tracker,
   measurement.seconds = ingestor.stats().seconds;
   measurement.peak_memory =
       std::max(ingestor.stats().tracker_peak_memory, tracker->MemoryUsage());
+  measurement.peak_allocator_bytes = tracker->MemoryBytes();
   measurement.feasible = true;
   return measurement;
 }
@@ -128,6 +138,7 @@ StatusOr<Measurement> MeasureTracker(const TrackerSpec& spec,
       // the shard trackers (QueryPrefix interleaves on demand).
       measurement.seconds = result->replay_seconds;
       measurement.peak_memory = result->tracker->MemoryUsage();
+      measurement.peak_allocator_bytes = result->tracker->MemoryBytes();
       measurement.parallel = result->used_parallel_path;
       return measurement;
     }

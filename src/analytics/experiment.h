@@ -1,7 +1,8 @@
 // Measurement harness shared by the table/figure reproduction benches:
 // replay a tracker over a TIN or an interaction stream, timing the run
-// and sampling peak logical provenance memory, with the paper's
-// dense-proportional feasibility gate (the "-" cells of Tables 7-8).
+// and sampling peak provenance memory (logical tuples and allocator
+// bytes), with the paper's dense-proportional feasibility gate (the "-"
+// cells of Tables 7-8).
 //
 // Tracker construction lives in analytics/registry.h (TrackerRegistry);
 // the one measurement entry point is MeasureTracker(TrackerSpec,
@@ -26,13 +27,19 @@ namespace tinprov {
 struct Measurement {
   double seconds = 0.0;
   size_t peak_memory = 0;  // peak Tracker::MemoryUsage() during replay
+  /// Peak Tracker::MemoryBytes(): what the allocator holds for the
+  /// tracker, next to the logical peak_memory. Sampled alongside it by
+  /// MeasureRun; the end-of-run value on the streaming and parallel
+  /// paths.
+  size_t peak_allocator_bytes = 0;
   bool feasible = true;    // false: skipped by the memory gate, no run
   bool parallel = false;   // true: measured via the sharded replay engine
 };
 
-/// Replays `tin` through `tracker`, returning wall time and the peak of
-/// the tracker's logical memory sampled throughout the run. `label` is
-/// used in error messages only.
+/// Replays `tin` through `tracker`, returning wall time and the peaks of
+/// the tracker's logical and allocator memory sampled throughout the
+/// run (sampling time is excluded from `seconds`). `label` is used in
+/// error messages only.
 StatusOr<Measurement> MeasureRun(Tracker* tracker, const Tin& tin,
                                  const std::string& label);
 

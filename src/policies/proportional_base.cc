@@ -142,6 +142,14 @@ Status SparseProportionalBase::Process(const Interaction& interaction) {
     simd::ScalePairsInPlace(src_buffer.data(), 1.0 - fraction,
                             src_buffer.size());
   }
+  // Bound both lists' capacity to their live tuples: a whole-buffer
+  // move leaves the source empty (or holding the destination's old
+  // block), and a merge hands the destination the scratch block, sized
+  // for the unmerged sum. Without this every list keeps its high-water
+  // block and the footprint tracks history rather than live
+  // provenance.
+  src_buffer.ShrinkIfSparse();
+  dst_buffer.ShrinkIfSparse();
   if (dst_was_empty && !dst_buffer.empty()) ++num_nonempty_;
   num_entries_ += dst_buffer.size() - dst_before;
   totals_[interaction.src] -= interaction.quantity;
@@ -290,9 +298,12 @@ Status SparseProportionalBase::RestoreStateBody(ByteReader* reader) {
 }
 
 void SparseProportionalBase::ClearAllEntries() {
-  // clear() keeps each vector's capacity: lists refill to a similar
-  // length after a reset, and logical memory is tracked by num_entries_.
-  for (SparseVector& buffer : buffers_) buffer.clear();
+  // Emptied lists hand their blocks back to the pool, so a window reset
+  // leaves no capacity behind; refilling lists draw recycled blocks.
+  for (SparseVector& buffer : buffers_) {
+    buffer.clear();
+    buffer.ShrinkIfSparse();
+  }
   num_entries_ = 0;
   num_nonempty_ = 0;
   attributed_generated_ = 0.0;

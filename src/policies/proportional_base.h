@@ -11,8 +11,11 @@
 // Performance architecture: every tracker owns a NodePool (util/pool.h)
 // that backs all of its provenance lists and a reusable merge scratch,
 // so the per-interaction transfer is a single gallop-merge pass
-// (util/simd.h) with no allocator traffic after warm-up. ReserveHint()
-// pre-sizes the pool from dataset stats.
+// (util/simd.h) whose storage churn is served by the pool's free lists,
+// not malloc. After every transfer both lists apply PooledVec's
+// hysteresis shrink, so reserved capacity stays within a small factor
+// of the live tuples instead of each list's high-water mark.
+// ReserveHint() pre-sizes the pool from dataset stats.
 //
 // Subclasses may under-attribute: a vertex's entry sum is <= its
 // buffered total, and the difference is the unattributed residue the
@@ -153,8 +156,9 @@ class SparseProportionalBase : public Tracker {
   /// Called after every successfully applied interaction.
   virtual void AfterInteraction(const Interaction& /*interaction*/) {}
 
-  /// Drops every stored tuple, leaving balances intact (the window
-  /// reset): all attributed quantity collapses into alpha. O(|V|).
+  /// Drops every stored tuple and returns the lists' blocks to the
+  /// pool, leaving balances intact (the window reset): all attributed
+  /// quantity collapses into alpha. O(|V|).
   void ClearAllEntries();
 
   /// Standing bytes of subclass-owned per-vertex state (group maps,

@@ -3,12 +3,14 @@
 //
 // NodePool carves size-class blocks out of an Arena (util/arena.h) and
 // recycles freed blocks through per-class free lists, so the sparse
-// merge loop's constant grow/shrink/swap churn never reaches malloc
-// after warm-up. PooledVec<T> is the minimal contiguous container the
-// trackers need on top of it: trivially-copyable elements, geometric
-// growth, raw-pointer iterators, and — crucially for the merge kernel —
-// an uninitialized resize, so scratch space costs zero writes before
-// the kernel fills it.
+// merge loop's constant grow/shrink/swap churn is served from recycled
+// blocks instead of malloc. PooledVec<T> is the minimal contiguous
+// container the trackers need on top of it: trivially-copyable
+// elements, geometric growth, a hysteresis shrink (ShrinkIfSparse) that
+// keeps capacity proportional to the live contents, raw-pointer
+// iterators, and — crucially for the merge kernel — an uninitialized
+// resize, so scratch space costs zero writes before the kernel fills
+// it.
 //
 // Neither class is thread-safe; each tracker (and each replay shard)
 // owns its own pool.
@@ -93,8 +95,10 @@ class NodePool {
 /// from a NodePool (or, with a null pool, from the global heap, so
 /// default-constructed instances — tests, ad-hoc lists — keep working).
 /// The subset of std::vector's interface the trackers use is provided
-/// with identical semantics; ResizeUninitialized is the extra operation
-/// that makes the merge scratch free of redundant writes.
+/// with identical semantics — in particular clear() and shrinking
+/// resizes keep the capacity. Two extra operations: ResizeUninitialized
+/// makes the merge scratch free of redundant writes, and ShrinkIfSparse
+/// is the one rule that gives storage back.
 template <typename T>
 class PooledVec {
   static_assert(std::is_trivially_copyable_v<T> &&
@@ -223,6 +227,22 @@ class PooledVec {
     if (n > 0) std::memcpy(data_, first, n * sizeof(T));
   }
 
+  /// Hysteresis shrink: when fewer than a quarter of the slots are in
+  /// use, reallocates to twice the size; an empty vector releases its
+  /// block to the pool (or heap). Contents are unchanged byte for byte.
+  /// The gap between the 1/4 trigger and the 1/2 fill it leaves behind
+  /// means alternating growth and shrinkage around either boundary
+  /// cannot reallocate on every step.
+  void ShrinkIfSparse() {
+    if (size_ * 4 >= capacity_) return;
+    if (size_ == 0) {
+      Release();
+      capacity_ = 0;
+      return;
+    }
+    Reallocate(size_ * 2);
+  }
+
   /// O(1) storage exchange. The pool pointer travels with the storage,
   /// so vectors backed by different pools may swap safely; each block
   /// still returns to the pool it came from.
@@ -237,11 +257,18 @@ class PooledVec {
   void Grow(size_t min_capacity) {
     size_t next = capacity_ == 0 ? kInitialCapacity : capacity_ * 2;
     if (next < min_capacity) next = min_capacity;
-    T* grown = static_cast<T*>(AllocateBytes(next * sizeof(T)));
-    if (size_ > 0) std::memcpy(grown, data_, size_ * sizeof(T));
+    Reallocate(next);
+  }
+
+  /// Moves the contents into a fresh block of exactly `capacity`
+  /// (>= size_) elements and returns the old block.
+  void Reallocate(size_t capacity) {
+    assert(capacity >= size_);
+    T* block = static_cast<T*>(AllocateBytes(capacity * sizeof(T)));
+    if (size_ > 0) std::memcpy(block, data_, size_ * sizeof(T));
     Release();
-    data_ = grown;
-    capacity_ = next;
+    data_ = block;
+    capacity_ = capacity;
   }
 
   void* AllocateBytes(size_t bytes) {

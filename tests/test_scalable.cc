@@ -14,6 +14,7 @@
 
 #include "analytics/experiment.h"
 #include "datagen/generator.h"
+#include "datagen/presets.h"
 #include "policies/no_provenance.h"
 #include "policies/proportional_sparse.h"
 #include "scalable/budget.h"
@@ -172,17 +173,66 @@ TEST_P(FactoryConservationTest, ConservesFlow) {
   EXPECT_GT((*tracker)->MemoryUsage(), 0u);
 }
 
+// gtest parameter names must be alphanumeric ("Prop-sparse" ->
+// "Propsparse").
+std::string TrackerParamName(
+    const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  name.erase(std::remove_if(name.begin(), name.end(),
+                            [](char c) { return !std::isalnum(
+                                static_cast<unsigned char>(c)); }),
+             name.end());
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllFactoryNames, FactoryConservationTest,
     ::testing::ValuesIn(TrackerRegistry::Global().Names()),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      name.erase(std::remove_if(name.begin(), name.end(),
-                                [](char c) { return !std::isalnum(
-                                    static_cast<unsigned char>(c)); }),
-                 name.end());
-      return name;
-    });
+    TrackerParamName);
+
+// ---------------------------------------------------------------------
+// Memory contract: the allocator-level footprint tracks live
+// provenance, not history. Pro-rata lists that grew to thousands of
+// tuples mid-stream and later drained must not keep their high-water
+// blocks (PooledVec::ShrinkIfSparse).
+
+class MemoryContractTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MemoryContractTest, AllocatorBytesTrackLiveProvenance) {
+  // The additive slack is SparseProportionalBase::ReserveHint's cap:
+  // the pool may pre-reserve up to 8 MiB before any tuple is live.
+  constexpr size_t kFactor = 16;
+  constexpr size_t kSlackBytes = size_t{8} << 20;
+  for (const DatasetKind kind :
+       {DatasetKind::kBitcoin, DatasetKind::kCtu, DatasetKind::kProsper}) {
+    auto tin = MakeDataset(kind, 1.0);
+    ASSERT_TRUE(tin.ok()) << tin.status().ToString();
+    auto tracker =
+        TrackerRegistry::Global().Create({GetParam(), ScalableParams{}}, *tin);
+    ASSERT_TRUE(tracker.ok()) << tracker.status().ToString();
+    ASSERT_TRUE((*tracker)->ProcessAll(*tin).ok());
+    const size_t logical = (*tracker)->MemoryUsage();
+    const size_t allocator = (*tracker)->MemoryBytes();
+    EXPECT_LE(allocator, kFactor * logical + kSlackBytes)
+        << GetParam() << " on " << DatasetName(kind) << ": " << allocator
+        << " allocator bytes for " << logical << " logical bytes ("
+        << static_cast<double>(allocator) / static_cast<double>(logical)
+        << "x)";
+  }
+}
+
+// Prop-dense is excluded: these datasets are exactly where the paper's
+// feasibility gate rules out its |V|^2 vectors, and it keeps no lists.
+std::vector<std::string> SparseFootprintNames() {
+  std::vector<std::string> names = TrackerRegistry::Global().Names();
+  names.erase(std::remove(names.begin(), names.end(), "Prop-dense"),
+              names.end());
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSparseFootprintNames, MemoryContractTest,
+                         ::testing::ValuesIn(SparseFootprintNames()),
+                         TrackerParamName);
 
 // ---------------------------------------------------------------------
 // Selective tracking.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -231,6 +232,78 @@ TEST(PooledVecTest, VectorBasicsOnHeapAndPool) {
   pooled.clear();
   EXPECT_TRUE(pooled.empty());
   EXPECT_GE(pooled.capacity(), 100u);  // clear keeps capacity
+}
+
+// Fills `vec` with {i, i + 0.5} for i < n.
+void FillSequence(PooledVec<TestPair>* vec, uint32_t n) {
+  for (uint32_t i = 0; i < n; ++i) vec->push_back({i, i + 0.5});
+}
+
+TEST(PooledVecTest, ShrinkIfSparseLeavesQuarterFullListsAlone) {
+  NodePool pool;
+  PooledVec<TestPair> vec(&pool);
+  FillSequence(&vec, 64);
+  vec.resize(16);  // exactly a quarter of the 64 slots
+  const TestPair* block = vec.data();
+  vec.ShrinkIfSparse();
+  EXPECT_EQ(vec.data(), block);
+  EXPECT_EQ(vec.capacity(), 64u);
+}
+
+TEST(PooledVecTest, ShrinkIfSparseKeepsContentsByteIdentical) {
+  NodePool pool;
+  PooledVec<TestPair> vec(&pool);
+  FillSequence(&vec, 64);
+  vec.resize(15);  // below a quarter of 64
+  std::vector<unsigned char> before(15 * sizeof(TestPair));
+  std::memcpy(before.data(), vec.data(), before.size());
+  const TestPair* block = vec.data();
+  vec.ShrinkIfSparse();
+  EXPECT_NE(vec.data(), block);
+  EXPECT_EQ(vec.size(), 15u);
+  EXPECT_EQ(vec.capacity(), 30u);
+  EXPECT_EQ(std::memcmp(before.data(), vec.data(), before.size()), 0);
+}
+
+TEST(PooledVecTest, ShrinkIfSparseHysteresisAvoidsThrashing) {
+  NodePool pool;
+  PooledVec<TestPair> vec(&pool);
+  FillSequence(&vec, 64);
+  vec.resize(16);
+  // Oscillate one element around the quarter threshold: the first
+  // crossing shrinks to 2 * 15 = 30 slots, after which neither a push
+  // nor a pop crosses a boundary again.
+  size_t reallocations = 0;
+  const TestPair* block = vec.data();
+  for (int step = 0; step < 100; ++step) {
+    if (step % 2 == 0) {
+      vec.ResizeUninitialized(vec.size() - 1);  // pop
+    } else {
+      vec.push_back({99, 9.9});
+    }
+    vec.ShrinkIfSparse();
+    if (vec.data() != block) {
+      ++reallocations;
+      block = vec.data();
+    }
+  }
+  EXPECT_EQ(reallocations, 1u);
+  EXPECT_EQ(vec.capacity(), 30u);
+}
+
+TEST(PooledVecTest, ShrinkIfSparseReleasesAnEmptyListToThePool) {
+  NodePool pool;
+  PooledVec<TestPair> vec(&pool);
+  FillSequence(&vec, 8);
+  void* block = vec.data();
+  const size_t block_bytes = vec.capacity() * sizeof(TestPair);
+  vec.clear();
+  EXPECT_EQ(vec.capacity(), 8u);  // clear() alone keeps the block
+  vec.ShrinkIfSparse();
+  EXPECT_EQ(vec.capacity(), 0u);
+  EXPECT_EQ(vec.data(), nullptr);
+  // The released block heads its class's free list.
+  EXPECT_EQ(pool.Allocate(block_bytes), block);
 }
 
 TEST(PooledVecTest, InsertKeepsOrderAndResizeInitializes) {
