@@ -17,7 +17,10 @@
 //     prefix of the generated stream and the recovered tracker state is
 //     bit-identical to a clean replay of that prefix. On mismatch the
 //     recovered and reference states are dumped next to the log
-//     (diff-*.bin) for the CI failure artifact, and the exit is 1.
+//     (diff-*.bin) for the CI failure artifact, and the exit is 1. It
+//     then re-creates the service on the directory and checks its
+//     historical answers at the snapshot prefixes (±1) and spread
+//     probes against clean prefix replays.
 #include <unistd.h>
 
 #include <algorithm>
@@ -167,7 +170,6 @@ int RunCrashIngest() {
   options.ingest_batch = 128;
   options.durability.dir = dir;
   options.durability.log.rotate_bytes = 256 * 1024;
-  options.durability.history_snapshot_interval = 2048;
 
   auto service = ProvenanceService::Create(spec, tin.Stats(), options);
   if (!service.ok()) {
@@ -193,6 +195,77 @@ int RunCrashIngest() {
   }
   std::printf("crash-ingest: drained %zu interactions without being killed\n",
               tin.num_interactions());
+  return 0;
+}
+
+/// Re-creates the durable service on `dir` (recovering `prefix`
+/// trusted interactions) and compares Provenance(v, t) for every third
+/// vertex against a clean replay of the prefix at t. Probes sit at
+/// every snapshot prefix on disk ±1 and at eight evenly spread
+/// prefixes, the recovered watermark included. Returns the exit code;
+/// `probed` receives the number of probe times.
+int VerifyRecoveredHistory(const std::string& dir, const TrackerSpec& spec,
+                           const Tin& tin, const TrackerFactory& factory,
+                           size_t prefix, size_t* probed) {
+  *probed = 0;
+  if (prefix == 0) return 0;  // nothing recovered, no history to ask
+  const std::vector<Interaction>& data = tin.interactions();
+  std::vector<size_t> probes;
+  storage::SnapshotStore store(storage::Env::Posix(), dir);
+  auto metas = store.List();
+  if (!metas.ok()) {
+    std::fprintf(stderr, "snapshot listing failed: %s\n",
+                 metas.status().ToString().c_str());
+    return 2;
+  }
+  for (const storage::SnapshotMeta& meta : *metas) {
+    for (const uint64_t p : {meta.prefix - 1, meta.prefix, meta.prefix + 1}) {
+      if (p >= 1 && p <= prefix) probes.push_back(static_cast<size_t>(p));
+    }
+  }
+  for (size_t k = 1; k <= 8; ++k) probes.push_back(prefix * k / 8);
+  std::sort(probes.begin(), probes.end());
+  probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+  *probed = probes.size();
+
+  ServeOptions options;
+  options.epoch_interval = 1024;
+  options.durability.dir = dir;
+  auto service = ProvenanceService::Create(spec, tin.Stats(), options);
+  if (!service.ok()) {
+    std::fprintf(stderr, "service re-creation failed: %s\n",
+                 service.status().ToString().c_str());
+    return 1;
+  }
+  std::unique_ptr<Tracker> reference = factory();
+  size_t applied = 0;
+  for (const size_t probe : probes) {
+    // The query time of the probe's last interaction covers its ties too.
+    const Timestamp t = data[probe - 1].t;
+    size_t end = probe;
+    while (end < prefix && data[end].t <= t) ++end;
+    for (; applied < end; ++applied) {
+      if (!reference->Process(data[applied]).ok()) return 2;
+    }
+    for (VertexId v = 0; v < tin.num_vertices(); v += 3) {
+      const QueryResult result = (*service)->Provenance(v, t);
+      const Buffer expected = reference->Provenance(v);
+      bool same = result.status.ok() && result.buffer.total == expected.total &&
+                  result.buffer.entries.size() == expected.entries.size();
+      for (size_t i = 0; same && i < expected.entries.size(); ++i) {
+        same = result.buffer.entries[i] == expected.entries[i];
+      }
+      if (!same) {
+        std::fprintf(stderr,
+                     "recovered history diverges from a clean replay at "
+                     "prefix %zu (t=%.17g) vertex %u: %s\n",
+                     end, t, v,
+                     result.status.ok() ? "different answer"
+                                        : result.status.ToString().c_str());
+        return 1;
+      }
+    }
+  }
   return 0;
 }
 
@@ -239,8 +312,8 @@ int RunCrashVerify() {
   // Contract 2: the recovered state is bit-identical to a clean replay
   // of exactly that prefix.
   std::unique_ptr<Tracker> reference = (*factory)();
-  for (const Interaction& interaction : recovered->log) {
-    const Status status = reference->Process(interaction);
+  for (size_t i = 0; i < recovered->prefix; ++i) {
+    const Status status = reference->Process(data[i]);
     if (!status.ok()) {
       std::fprintf(stderr, "reference replay failed: %s\n",
                    status.ToString().c_str());
@@ -275,14 +348,25 @@ int RunCrashVerify() {
     return 1;
   }
 
+  // Contract 3: a service re-created on the directory answers history
+  // like a clean replay of the prefix at t.
+  size_t history_probes = 0;
+  const int history_status =
+      VerifyRecoveredHistory(dir, spec, tin, *factory,
+                             static_cast<size_t>(recovered->prefix),
+                             &history_probes);
+  if (history_status != 0) return history_status;
+
   std::printf(
       "crash-verify: OK prefix=%llu/%zu snapshot_prefix=%llu replayed=%llu "
-      "torn=%zu corrupt=%zu dropped=%zu snapshots_skipped=%zu\n",
+      "torn=%zu corrupt=%zu dropped=%zu snapshots_skipped=%zu "
+      "history_probes=%zu\n",
       static_cast<unsigned long long>(recovered->prefix), data.size(),
-      static_cast<unsigned long long>(recovered->snapshot_prefix),
+      static_cast<unsigned long long>(recovered->prefix - recovered->replayed),
       static_cast<unsigned long long>(recovered->replayed),
       recovered->torn_tails, recovered->corrupt_records,
-      recovered->segments_dropped, recovered->snapshots_skipped);
+      recovered->dropped_segments.size(), recovered->snapshots_skipped,
+      history_probes);
   return 0;
 }
 

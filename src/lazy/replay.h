@@ -41,7 +41,7 @@ struct ReplayStats {
 };
 
 /// Number of interactions with timestamp <= t — the historical replay
-/// prefix shared by the lazy engine and the time-travel index.
+/// prefix of the lazy engine.
 size_t PrefixLength(const Tin& tin, Timestamp t);
 
 /// Indices (into tin.interactions(), ascending and therefore in time

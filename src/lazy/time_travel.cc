@@ -1,6 +1,5 @@
 #include "lazy/time_travel.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -21,11 +20,8 @@ StatusOr<std::unique_ptr<TimeTravelIndex>> TimeTravelIndex::Build(
   auto index =
       NewStreaming(tin.num_vertices(), std::move(factory), snapshot_interval);
   if (!index.ok()) return index.status();
-  // The caller already holds the materialized log, so nothing needs to
-  // be retained: feed it through the same Observe() path the streaming
-  // form uses and point the index at the borrowed Tin.
-  (*index)->retain_log_ = false;
-  (*index)->tin_ = &tin;
+  // The same Observe() path the streaming form uses; the index copies
+  // the borrowed log as it goes.
   for (const Interaction& interaction : tin.interactions()) {
     const Status status = (*index)->Observe(interaction);
     if (!status.ok()) return status;
@@ -43,7 +39,6 @@ StatusOr<std::unique_ptr<TimeTravelIndex>> TimeTravelIndex::NewStreaming(
   const size_t interval = snapshot_interval == 0 ? 1 : snapshot_interval;
   std::unique_ptr<TimeTravelIndex> index(
       new TimeTravelIndex(num_vertices, std::move(factory), interval));
-  index->retain_log_ = true;
   index->build_tracker_ = index->factory_();
   if (index->build_tracker_ == nullptr) {
     return Status::Internal("tracker factory returned null");
@@ -52,33 +47,31 @@ StatusOr<std::unique_ptr<TimeTravelIndex>> TimeTravelIndex::NewStreaming(
 }
 
 Status TimeTravelIndex::Observe(const Interaction& interaction) {
-  if (finalized_) {
+  if (finalized()) {
     return Status::FailedPrecondition(
         "time-travel index is finalized — no further interactions");
   }
-  if (interaction.t < watermark_) {
+  const size_t observed = log_.size();
+  if (interaction.t < watermark()) {
     return Status::InvalidArgument(
-        "time-travel build at interaction " + std::to_string(observed_) +
+        "time-travel build at interaction " + std::to_string(observed) +
         ": timestamp below the watermark — wrap the source in a "
         "SortingStream");
   }
-  watermark_ = interaction.t;
   const Status status = build_tracker_->Process(interaction);
   if (!status.ok()) {
     return Status(status.code(), "time-travel build at interaction " +
-                                     std::to_string(observed_) + ": " +
+                                     std::to_string(observed) + ": " +
                                      status.message());
   }
-  if (retain_log_) log_.push_back(interaction);
-  ++observed_;
-  if (observed_ % interval_ == 0) {
-    Snapshot snapshot;
-    snapshot.prefix = observed_;
+  log_.Append(interaction);
+  if (log_.size() % interval_ == 0) {
+    auto state = std::make_shared<std::vector<uint8_t>>();
     {
       TINPROV_SCOPED_LATENCY_NS("timetravel.save_ns");
-      build_tracker_->SaveState(&snapshot.state);
+      build_tracker_->SaveState(state.get());
     }
-    snapshots_.push_back(std::move(snapshot));
+    log_.AddCheckpoint(log_.size(), std::move(state));
     TINPROV_COUNTER_ADD("timetravel.snapshots", 1);
     TINPROV_GAUGE_SET("memory.timetravel_bytes", MemoryUsage());
   }
@@ -95,21 +88,8 @@ Status TimeTravelIndex::ObserveStream(InteractionStream& stream) {
 }
 
 Status TimeTravelIndex::Finalize() {
-  if (finalized_) return Status::Ok();
-  if (retain_log_) {
-    // Arrivals were watermark-checked, so the Tin constructor's stable
-    // sort is an identity permutation and the snapshot prefixes keep
-    // pointing at the right log positions.
-    owned_tin_ = std::make_unique<Tin>(num_vertices_, std::move(log_));
-    log_ = {};
-    tin_ = owned_tin_.get();
-  }
-  if (tin_ == nullptr) {
-    return Status::FailedPrecondition(
-        "time-travel index has no log to query");
-  }
+  if (finalized()) return Status::Ok();
   build_tracker_.reset();
-  finalized_ = true;
   TINPROV_GAUGE_SET("memory.timetravel_bytes", MemoryUsage());
   return Status::Ok();
 }
@@ -117,96 +97,36 @@ Status TimeTravelIndex::Finalize() {
 StatusOr<Buffer> TimeTravelIndex::Provenance(VertexId v, Timestamp t) const {
   obs::TraceSpan span("timetravel.query", "lazy");
   TINPROV_COUNTER_ADD("timetravel.queries", 1);
-  if (!finalized_) {
+  if (!finalized()) {
     return Status::FailedPrecondition(
         "time-travel index is still ingesting — call Finalize() first");
   }
-  if (v >= tin_->num_vertices()) {
+  if (v >= num_vertices_) {
     return Status::InvalidArgument("query vertex " + std::to_string(v) +
                                    " out of range");
   }
-  const size_t prefix = PrefixLength(*tin_, t);
-  // Latest snapshot at or before the query prefix; none means the delta
-  // starts from a fresh tracker (t before the first checkpoint).
-  const auto it = std::upper_bound(
-      snapshots_.begin(), snapshots_.end(), prefix,
-      [](size_t p, const Snapshot& s) { return p < s.prefix; });
-  std::unique_ptr<Tracker> tracker = factory_();
-  if (tracker == nullptr) {
-    return Status::Internal("tracker factory returned null");
-  }
-  size_t start = 0;
-  if (it != snapshots_.begin()) {
-    const Snapshot& snapshot = *(it - 1);
-    TINPROV_SCOPED_LATENCY_NS("timetravel.restore_ns");
-    TINPROV_COUNTER_ADD("timetravel.restores", 1);
-    const Status status =
-        tracker->RestoreState(snapshot.state.data(), snapshot.state.size());
-    if (!status.ok()) {
-      return Status(status.code(), "restoring snapshot at prefix " +
-                                       std::to_string(snapshot.prefix) +
-                                       ": " + status.message());
-    }
-    start = snapshot.prefix;
-  }
-  const auto& log = tin_->interactions();
-  for (size_t i = start; i < prefix; ++i) {
-    const Status status = tracker->Process(log[i]);
-    if (!status.ok()) {
-      return Status(status.code(), "delta replay at interaction " +
-                                       std::to_string(i) + ": " +
-                                       status.message());
-    }
-  }
-  TINPROV_COUNTER_ADD("timetravel.delta_interactions", prefix - start);
-  return tracker->Provenance(v);
+  auto tracker = log_.Replay(factory_, log_.UpperBound(t));
+  if (!tracker.ok()) return tracker.status();
+  return (*tracker)->Provenance(v);
 }
 
 Status TimeTravelIndex::SaveFinalState(std::vector<uint8_t>* out) const {
   if (out == nullptr) {
     return Status::InvalidArgument("null output buffer");
   }
-  if (!finalized_) {
+  if (!finalized()) {
     return Status::FailedPrecondition(
         "time-travel index is still ingesting — call Finalize() first");
   }
-  std::unique_ptr<Tracker> tracker = factory_();
-  if (tracker == nullptr) {
-    return Status::Internal("tracker factory returned null");
-  }
-  size_t start = 0;
-  if (!snapshots_.empty()) {
-    const Snapshot& snapshot = snapshots_.back();
-    const Status status =
-        tracker->RestoreState(snapshot.state.data(), snapshot.state.size());
-    if (!status.ok()) {
-      return Status(status.code(), "restoring snapshot at prefix " +
-                                       std::to_string(snapshot.prefix) + ": " +
-                                       status.message());
-    }
-    start = snapshot.prefix;
-  }
-  const auto& log = tin_->interactions();
-  for (size_t i = start; i < log.size(); ++i) {
-    const Status status = tracker->Process(log[i]);
-    if (!status.ok()) {
-      return Status(status.code(), "final-state replay at interaction " +
-                                       std::to_string(i) + ": " +
-                                       status.message());
-    }
-  }
-  tracker->SaveState(out);
+  auto tracker = log_.Replay(factory_, log_.size());
+  if (!tracker.ok()) return tracker.status();
+  (*tracker)->SaveState(out);
   return Status::Ok();
 }
 
 size_t TimeTravelIndex::MemoryUsage() const {
-  size_t bytes = 0;
-  for (const Snapshot& snapshot : snapshots_) {
-    bytes += snapshot.state.size() + sizeof(snapshot.prefix);
-  }
-  bytes += log_.capacity() * sizeof(Interaction);
-  if (owned_tin_ != nullptr) bytes += owned_tin_->MemoryUsage();
-  return bytes;
+  return log_.log_bytes() + log_.checkpoint_bytes() +
+         log_.num_checkpoints() * sizeof(size_t);
 }
 
 }  // namespace tinprov

@@ -3,11 +3,11 @@
 // Pure lazy replay answers a historical Provenance(v, t) in O(prefix);
 // the index instead checkpoints the tracker's serialized state (the
 // snapshot/restore capability of policies/tracker.h) every
-// snapshot_interval interactions during one build replay. A query then
-// restores the nearest snapshot at or before t's prefix and replays
-// only the delta — O(snapshot + interval) instead of O(prefix) — at the
-// price of MemoryUsage() bytes of standing serialized state. bench_lazy
-// measures both sides of that trade.
+// snapshot_interval interactions during one build replay, into a
+// CheckpointedLog beside its own copy of the log. A query then replays
+// only the delta past the nearest snapshot — O(snapshot + interval)
+// instead of O(prefix) — at the price of MemoryUsage() bytes of
+// standing state. bench_lazy measures both sides of that trade.
 #ifndef TINPROV_LAZY_TIME_TRAVEL_H_
 #define TINPROV_LAZY_TIME_TRAVEL_H_
 
@@ -19,7 +19,7 @@
 #include "core/buffer.h"
 #include "core/tin.h"
 #include "core/types.h"
-#include "lazy/replay.h"
+#include "lazy/checkpointed_log.h"
 #include "policies/tracker.h"
 #include "util/status.h"
 
@@ -45,12 +45,12 @@ class TimeTravelIndex {
   /// instead of from a pre-materialized log. Observe() each interaction
   /// (snapshots are cut at the ingest watermark, i.e. every
   /// snapshot_interval observed interactions, exactly where Build()
-  /// would cut them), then Finalize() to enable queries. The index
-  /// retains the observed log — historical delta replay needs it — so
-  /// standing memory still grows with the stream; what streaming buys
-  /// is single-pass ingestion with the build tracker and snapshots
-  /// advancing while data arrives. Results are bit-identical to
-  /// Build() over the materialized equivalent.
+  /// would cut them), then Finalize() to enable queries. Either way the
+  /// index keeps its own copy of the observed log — historical delta
+  /// replay needs it — so standing memory grows with the stream; what
+  /// streaming buys is single-pass ingestion with the build tracker and
+  /// snapshots advancing while data arrives. Results are bit-identical
+  /// to Build() over the materialized equivalent.
   static StatusOr<std::unique_ptr<TimeTravelIndex>> NewStreaming(
       size_t num_vertices, TrackerFactory factory, size_t snapshot_interval);
 
@@ -62,16 +62,19 @@ class TimeTravelIndex {
   /// Drains `stream` through Observe().
   Status ObserveStream(InteractionStream& stream);
 
-  /// Ends ingestion: materializes the retained log's index and enables
-  /// Provenance(). Idempotent; Observe() is rejected afterwards.
+  /// Ends ingestion: drops the build tracker and enables Provenance().
+  /// Idempotent; Observe() is rejected afterwards.
   Status Finalize();
 
   /// True when the index answers queries (Build() returns finalized
   /// indexes; streaming ones finalize explicitly).
-  bool finalized() const { return finalized_; }
+  bool finalized() const { return build_tracker_ == nullptr; }
 
   /// Timestamp of the last observed interaction.
-  Timestamp watermark() const { return watermark_; }
+  Timestamp watermark() const {
+    return log_.empty() ? std::numeric_limits<Timestamp>::lowest()
+                        : log_[log_.size() - 1].t;
+  }
 
   /// Provenance of `v` at historical time `t` (inclusive): restore the
   /// nearest snapshot at or before t's prefix, replay the delta. Equals
@@ -79,14 +82,18 @@ class TimeTravelIndex {
   /// yield an empty buffer.
   StatusOr<Buffer> Provenance(VertexId v, Timestamp t) const;
 
-  size_t num_snapshots() const { return snapshots_.size(); }
+  size_t num_snapshots() const { return log_.num_checkpoints(); }
   size_t snapshot_interval() const { return interval_; }
 
   /// Vertex count the index was built over.
   size_t num_vertices() const { return num_vertices_; }
 
   /// Interactions observed so far — the prefix length at watermark().
-  size_t num_observed() const { return observed_; }
+  size_t num_observed() const { return log_.size(); }
+
+  /// The observed log and its snapshots. A serve handoff seeds its own
+  /// history with a copy (sharing the snapshot images).
+  const CheckpointedLog& log() const { return log_; }
 
   /// Serializes the tracker state at the index's watermark (every
   /// observed interaction applied), appending to `out` in Tracker
@@ -99,19 +106,13 @@ class TimeTravelIndex {
   /// FailedPrecondition before Finalize().
   Status SaveFinalState(std::vector<uint8_t>* out) const;
 
-  /// Standing bytes of serialized snapshot state plus the per-snapshot
-  /// prefix bookkeeping (excluding container-header overhead, matching
-  /// the Tracker::MemoryUsage() accounting convention). A streaming
-  /// index additionally counts the log it retains; a Build() index
-  /// borrows its log, so the log is the caller's bill.
+  /// Standing bytes of the observed log, serialized snapshot state and
+  /// the per-snapshot prefix bookkeeping (excluding container-header
+  /// overhead, matching the Tracker::MemoryUsage() accounting
+  /// convention).
   size_t MemoryUsage() const;
 
  private:
-  struct Snapshot {
-    size_t prefix = 0;  // interactions already applied to `state`
-    std::vector<uint8_t> state;
-  };
-
   TimeTravelIndex(size_t num_vertices, TrackerFactory factory,
                   size_t interval)
       : num_vertices_(num_vertices),
@@ -119,17 +120,10 @@ class TimeTravelIndex {
         interval_(interval) {}
 
   size_t num_vertices_;
-  const Tin* tin_ = nullptr;          // set at Finalize (or by Build)
-  std::unique_ptr<Tin> owned_tin_;    // streaming form owns its log
   TrackerFactory factory_;
   size_t interval_;
-  std::vector<Snapshot> snapshots_;
+  CheckpointedLog log_;
   std::unique_ptr<Tracker> build_tracker_;  // live between ctor and Finalize
-  std::vector<Interaction> log_;      // retained arrivals (streaming form)
-  bool retain_log_ = false;
-  bool finalized_ = false;
-  size_t observed_ = 0;
-  Timestamp watermark_ = std::numeric_limits<Timestamp>::lowest();
 };
 
 }  // namespace tinprov

@@ -40,8 +40,9 @@ namespace tinprov {
 struct EpochInfo {
   /// Publish sequence number; 0 is the initial (pre-ingest) state.
   uint64_t seq = 0;
-  /// Interactions applied since the service started (handoff-relative:
-  /// a service seeded from a TimeTravelIndex counts from the handoff).
+  /// Interactions the state reflects, counted from the start of the
+  /// service's history (seeded handoff or recovered interactions
+  /// included).
   size_t prefix = 0;
   /// The state is complete through this timestamp.
   Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
@@ -72,7 +73,7 @@ struct QueryResult {
   /// Execute (the direct reader methods).
   uint64_t query_id = 0;
   /// Log interactions delta-replayed to build the answer; 0 on the
-  /// epoch fast paths (latest epoch, ring hit, handoff index).
+  /// epoch fast paths (latest epoch, ring hit).
   size_t replayed_interactions = 0;
 };
 

@@ -21,11 +21,6 @@ namespace tinprov {
 
 namespace {
 
-/// Fixed log-chunk capacity. Chunks are reserved once and never
-/// reallocate, so a published view's chunk pointers stay valid while
-/// the writer fills later slots of the newest chunk.
-constexpr size_t kChunkCapacity = 4096;
-
 bool TopOriginOrder(const ProvPair& a, const ProvPair& b) {
   if (a.quantity != b.quantity) return a.quantity > b.quantity;
   return a.origin < b.origin;
@@ -69,51 +64,21 @@ struct ProvenanceService::EpochView {
     std::shared_ptr<const std::vector<uint8_t>> state;
   };
 
-  struct Snapshot {
-    size_t prefix = 0;
-    std::shared_ptr<const std::vector<uint8_t>> state;
-  };
-
   /// Recent epochs, oldest first; back() is the newest and always
   /// present (epoch 0 is published before any reader exists).
   std::vector<std::shared_ptr<const Epoch>> ring;
 
-  /// Chunked log: entries [0, ring.back()->info.prefix) are valid —
-  /// written before this view's release-store. Empty when history
-  /// retention is off.
-  std::vector<std::shared_ptr<std::vector<Interaction>>> chunks;
-
-  /// Every published epoch's byte image, ascending by prefix, for
-  /// nearest-snapshot + delta-replay historical queries. Starts with
-  /// the prefix-0 initial/handoff state. Empty when retention is off.
-  std::vector<Snapshot> snapshots;
+  /// The writer's history as of this publish: the seeded history, then
+  /// (with retention on) every interaction up to the newest epoch's
+  /// prefix and every epoch's byte image.
+  CheckpointedLog log;
 
   const Epoch& Latest() const { return *ring.back(); }
-
-  const Interaction& LogAt(size_t i) const {
-    return chunks[i / kChunkCapacity]->data()[i % kChunkCapacity];
-  }
-
-  /// Count of logged interactions with timestamp <= t, searching only
-  /// the published prefix.
-  size_t UpperBound(Timestamp t) const {
-    size_t lo = 0;
-    size_t hi = Latest().info.prefix;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (LogAt(mid).t <= t) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
 };
 
 /// Tee stream the writer wraps its source in: every pulled interaction
-/// is appended to the service's chunked log before the ingestor sees
-/// it, so the published log prefix always covers the applied prefix.
+/// is appended to the service's history before the ingestor sees it,
+/// so the published log always covers the applied prefix.
 class ProvenanceService::LogSink : public InteractionStream {
  public:
   LogSink(ProvenanceService* service, InteractionStream* inner)
@@ -143,54 +108,40 @@ ProvenanceService::CreateWithHistory(
     std::shared_ptr<const TimeTravelIndex> history, ServeOptions options) {
   auto factory = TrackerRegistry::Global().Factory(spec, stats);
   if (!factory.ok()) return factory.status();
+  std::unique_ptr<ProvenanceService> service(
+      new ProvenanceService(*std::move(factory), spec, stats, options));
+  // The final state of the seeded history (log_), from the directory
+  // or the handoff index.
   std::vector<uint8_t> handoff;
-  const std::vector<uint8_t>* handoff_state = nullptr;
 
-  // Durability: recover whatever the directory holds, seed the service
-  // from it (state + history index), and open the log for appending at
-  // the recovered position.
-  std::unique_ptr<storage::DurableLog> durable;
-  uint64_t durable_base = 0;
   if (options.durability.Enabled()) {
+    if (history != nullptr) {
+      return Status::InvalidArgument(
+          "pass one source of pre-ingest history: a durable service "
+          "recovers it from its directory — drop the handoff index");
+    }
     storage::Env* env = options.durability.env != nullptr
                             ? options.durability.env
                             : storage::Env::Posix();
-    storage::RecoveredState recovered;
-    if (options.durability.recover) {
-      storage::RecoveryManager manager(env, options.durability.dir);
-      auto result = manager.Recover(*factory);
-      if (!result.ok()) return result.status();
-      recovered = *std::move(result);
-    }
-    if (recovered.prefix > 0) {
-      if (history != nullptr) {
-        return Status::InvalidArgument(
-            "pass one source of pre-ingest history: the durability "
-            "directory already holds " +
-            std::to_string(recovered.prefix) +
-            " recovered interactions, drop the handoff index (or the "
-            "recovered state, with DurabilityOptions::recover = false)");
-      }
-      auto index = storage::BuildRecoveredIndex(
-          recovered, stats.num_vertices, *factory,
-          options.durability.history_snapshot_interval);
-      if (!index.ok()) return index.status();
-      history = *std::move(index);
-      // The recovered SaveState bytes are the handoff — bit-identical
-      // to the index's SaveFinalState by the resume contract, without
-      // re-restoring a snapshot.
-      handoff = std::move(recovered.state);
-      handoff_state = &handoff;
-    }
+    storage::RecoveryManager manager(env, options.durability.dir);
+    auto recovered = manager.Recover(service->factory_);
+    if (!recovered.ok()) return recovered.status();
+    Status status = manager.DiscardUntrusted(*recovered);
+    if (!status.ok()) return status;
     auto log = storage::DurableLog::Open(env, options.durability.dir,
-                                         recovered.prefix, recovered.next_seq,
+                                         recovered->prefix,
+                                         recovered->next_seq,
                                          options.durability.log);
     if (!log.ok()) return log.status();
-    durable = *std::move(log);
-    durable_base = recovered.prefix;
-  }
-
-  if (history != nullptr && handoff_state == nullptr) {
+    service->durable_ = *std::move(log);
+    if (recovered->prefix > 0) {
+      // The recovered SaveState bytes are the handoff — the resume
+      // contract makes them the log's final state without a replay.
+      service->log_ = std::move(recovered->log);
+      service->resume_watermark_ = recovered->watermark;
+      handoff = std::move(recovered->state);
+    }
+  } else if (history != nullptr) {
     if (!history->finalized()) {
       return Status::FailedPrecondition(
           "serve handoff needs a finalized time-travel index");
@@ -202,29 +153,23 @@ ProvenanceService::CreateWithHistory(
     }
     const Status status = history->SaveFinalState(&handoff);
     if (!status.ok()) return status;
-    handoff_state = &handoff;
+    service->log_ = history->log();
+    service->resume_watermark_ = history->watermark();
   }
-  std::unique_ptr<ProvenanceService> service(new ProvenanceService(
-      *std::move(factory), spec, stats, options, std::move(history)));
-  service->durable_ = std::move(durable);
-  service->durable_base_ = durable_base;
-  const Status status = service->Init(handoff_state);
+  service->prefix_base_ = service->log_.size();
+  const Status status =
+      service->Init(service->log_.empty() ? nullptr : &handoff);
   if (!status.ok()) return status;
   return service;
 }
 
-ProvenanceService::ProvenanceService(
-    TrackerFactory factory, TrackerSpec spec, const DatasetStats& stats,
-    const ServeOptions& options, std::shared_ptr<const TimeTravelIndex> history)
+ProvenanceService::ProvenanceService(TrackerFactory factory, TrackerSpec spec,
+                                     const DatasetStats& stats,
+                                     const ServeOptions& options)
     : factory_(std::move(factory)),
       tracker_spec_(std::move(spec)),
       stats_(stats),
-      options_(options),
-      history_(std::move(history)),
-      history_watermark_(history_ != nullptr
-                             ? history_->watermark()
-                             : std::numeric_limits<Timestamp>::lowest()),
-      resume_watermark_(history_watermark_) {
+      options_(options) {
   if (options_.epoch_interval == 0) options_.epoch_interval = 1;
   if (options_.ring_size == 0) options_.ring_size = 1;
   if (options_.ingest_batch == 0) options_.ingest_batch = 1;
@@ -268,8 +213,8 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
   // writer exists, so latest_ is never null and plain stores suffice.
   auto epoch = std::make_shared<EpochView::Epoch>();
   epoch->info.seq = next_seq_++;
-  epoch->info.prefix = 0;
-  epoch->info.watermark = history_watermark_;
+  epoch->info.prefix = prefix_base_;
+  epoch->info.watermark = resume_watermark_;
   std::unique_ptr<Tracker> restored = factory_();
   if (restored == nullptr) {
     return Status::Internal("tracker factory returned null");
@@ -282,26 +227,19 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
   epoch->tracker = std::move(restored);
   epoch->state = state;
 
+  if (options_.retain_history) log_.AddCheckpoint(prefix_base_, state);
   auto view = std::make_shared<EpochView>();
   view->ring.push_back(std::move(epoch));
-  if (options_.retain_history) {
-    view->snapshots.push_back({0, state});
-    snapshot_bytes_ += state->size();
-  }
+  view->log = log_;
   latest_ = std::move(view);
   last_publish_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
+  TINPROV_GAUGE_SET("memory.serve_log_bytes", log_.log_bytes());
+  TINPROV_GAUGE_SET("memory.serve_snapshot_bytes", log_.checkpoint_bytes());
   return Status::Ok();
 }
 
 void ProvenanceService::AppendLog(const Interaction& interaction) {
-  if (!options_.retain_history) return;
-  if (chunks_.empty() || chunks_.back()->size() == kChunkCapacity) {
-    auto chunk = std::make_shared<std::vector<Interaction>>();
-    chunk->reserve(kChunkCapacity);
-    chunks_.push_back(std::move(chunk));
-  }
-  chunks_.back()->push_back(interaction);
-  ++log_size_;
+  if (options_.retain_history) log_.Append(interaction);
 }
 
 Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
@@ -338,12 +276,8 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   while (view->ring.size() > options_.ring_size) {
     view->ring.erase(view->ring.begin());
   }
-  view->chunks = chunks_;
-  view->snapshots = prev->snapshots;
-  if (options_.retain_history) {
-    view->snapshots.push_back({prefix, state});
-    snapshot_bytes_ += state->size();
-  }
+  if (options_.retain_history) log_.AddCheckpoint(prefix, state);
+  view->log = log_;
   std::atomic_store_explicit(&latest_,
                              std::shared_ptr<const EpochView>(std::move(view)),
                              std::memory_order_release);
@@ -355,18 +289,19 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   last_publish_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   TINPROV_GAUGE_SET("serve.epoch_seq", next_seq_ - 1);
   TINPROV_GAUGE_SET("serve.epoch_prefix", prefix);
-  TINPROV_GAUGE_SET("memory.serve_log_bytes", log_size_ * sizeof(Interaction));
-  TINPROV_GAUGE_SET("memory.serve_snapshot_bytes", snapshot_bytes_);
+  TINPROV_GAUGE_SET("memory.serve_log_bytes", log_.log_bytes());
+  TINPROV_GAUGE_SET("memory.serve_snapshot_bytes", log_.checkpoint_bytes());
   TINPROV_GAUGE_SET("memory.serve_epoch_state_bytes", state->size());
 
-  // Epoch published → snapshot persisted (at its global log position).
-  // WriteSnapshot syncs the segment log first, so a snapshot on disk is
-  // always backed by a durable log at least as long. Under kFailStop an
-  // error surfaces as the ingest status; under kDegrade the log
-  // absorbed it and flipped the storage.durability health check.
+  // Epoch published → snapshot persisted at the epoch's prefix, which
+  // is its durable log position. WriteSnapshot syncs the segment log
+  // first, so a snapshot on disk is always backed by a durable log at
+  // least as long. Under kFailStop an error surfaces as the ingest
+  // status; under kDegrade the log absorbed it and flipped the
+  // storage.durability health check.
   if (durable_ != nullptr) {
     const Status durable_status =
-        durable_->WriteSnapshot(durable_base_ + prefix, watermark, *state);
+        durable_->WriteSnapshot(prefix, watermark, *state);
     if (!durable_status.ok()) return durable_status;
   }
   return Status::Ok();
@@ -451,7 +386,7 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
         "catchup bypasses the durable log — run it with durability off and "
         "seed the directory separately");
   }
-  if (history_ != nullptr) {
+  if (prefix_base_ != 0) {
     return Status::FailedPrecondition(
         "catchup starts from empty state; a handoff index already carries "
         "the history");
@@ -481,8 +416,7 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
                       catchup_stats_.interactions);
   TINPROV_GAUGE_SET("serve.catchup_shards", result->num_shards);
   // Readers see the caught-up state the moment this returns.
-  return PublishEpoch(prefix_base_,
-                      std::max(catchup_stats_.watermark, history_watermark_));
+  return PublishEpoch(prefix_base_, resume_watermark_);
 }
 
 Status ProvenanceService::Start(std::unique_ptr<InteractionStream> stream) {
@@ -575,28 +509,20 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
     return result;
   }
 
-  // Pre-handoff times belong to the time-travel index: its log covers
-  // everything strictly before the handoff watermark (the live log
-  // continues at or after it).
-  if (history_ != nullptr && t < history_watermark_) {
-    TINPROV_COUNTER_ADD("serve.history_queries", 1);
-    auto buffer = history_->Provenance(v, t);
-    if (!buffer.ok()) {
-      result.status = buffer.status();
-      return result;
-    }
-    result.buffer = *std::move(buffer);
-    return result;
+  // The prefix t resolves to: the latest epoch's own for t at or past
+  // its watermark (the fast path); else the history's, when it holds
+  // the whole published prefix (retention on) or t falls inside its
+  // seeded part; else none (past the published prefix).
+  const CheckpointedLog& log = view->log;
+  const EpochInfo& info = latest.info;
+  size_t target = info.prefix + 1;
+  if (t >= info.watermark) {
+    target = info.prefix;
+  } else if (log.size() >= info.prefix ||
+             (!log.empty() && t < log[log.size() - 1].t)) {
+    target = log.UpperBound(t);
   }
-
-  // Live side. t at or past the epoch watermark resolves to the full
-  // published prefix, i.e. the latest epoch itself — the fast path.
-  const size_t target =
-      options_.retain_history
-          ? view->UpperBound(t)
-          : (t >= latest.info.watermark ? latest.info.prefix
-                                        : latest.info.prefix + 1);
-  if (target == latest.info.prefix) {
+  if (target == info.prefix) {
     result.buffer = latest.tracker->Provenance(v);
     return result;
   }
@@ -610,7 +536,7 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
     }
   }
 
-  if (!options_.retain_history) {
+  if (target > info.prefix) {
     result.status = Status::FailedPrecondition(
         "historical query at t=" + std::to_string(t) +
         " needs history retention (ServeOptions::retain_history) or a "
@@ -618,41 +544,19 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
     return result;
   }
 
-  // Nearest retained snapshot at or before the target, then delta
-  // replay of the pinned log — the TimeTravelIndex recipe, online.
-  // snapshots[0] (prefix 0, initial/handoff state) always exists, so
-  // the search cannot come up empty.
+  // Nearest snapshot at or before the target, then delta replay of the
+  // pinned history.
   TINPROV_COUNTER_ADD("serve.historical_replays", 1);
   TINPROV_SCOPED_LATENCY_NS("serve.historical_replay_ns");
-  const auto it = std::upper_bound(
-      view->snapshots.begin(), view->snapshots.end(), target,
-      [](size_t p, const EpochView::Snapshot& s) { return p < s.prefix; });
-  const EpochView::Snapshot& snapshot = *(it - 1);
-  std::unique_ptr<Tracker> tracker = factory_();
-  if (tracker == nullptr) {
-    result.status = Status::Internal("tracker factory returned null");
+  size_t replayed = 0;
+  auto tracker = log.Replay(factory_, target, &replayed);
+  if (!tracker.ok()) {
+    result.status = tracker.status();
     return result;
   }
-  Status status = tracker->RestoreState(*snapshot.state);
-  if (!status.ok()) {
-    result.status = Status(status.code(), "restoring snapshot at prefix " +
-                                              std::to_string(snapshot.prefix) +
-                                              ": " + status.message());
-    return result;
-  }
-  for (size_t i = snapshot.prefix; i < target; ++i) {
-    status = tracker->Process(view->LogAt(i));
-    if (!status.ok()) {
-      result.status = Status(status.code(), "delta replay at interaction " +
-                                                std::to_string(i) + ": " +
-                                                status.message());
-      return result;
-    }
-  }
-  TINPROV_HISTOGRAM_OBSERVE("serve.delta_interactions",
-                            target - snapshot.prefix);
-  result.replayed_interactions = target - snapshot.prefix;
-  result.buffer = tracker->Provenance(v);
+  TINPROV_HISTOGRAM_OBSERVE("serve.delta_interactions", replayed);
+  result.replayed_interactions = replayed;
+  result.buffer = (*tracker)->Provenance(v);
   return result;
 }
 

@@ -15,15 +15,14 @@
 //     with std::atomic_store (release) and pinned by readers with
 //     std::atomic_load (acquire). An EpochView is immutable after
 //     publication; pinning it keeps every state it references — the
-//     ring of recent epoch trackers, the log chunks, the snapshot byte
-//     images — alive for the duration of the query, however far the
-//     writer advances meanwhile.
-//   - The log is chunked and append-only: fixed-capacity chunks whose
-//     backing arrays never move, so a published view's chunk pointers
-//     stay valid while the writer fills later slots. Readers only read
-//     entries below their pinned view's prefix, all written before the
-//     view's release-store — no torn reads, no locks, TSan-clean.
-//   - Writer-side state (live tracker, chunk list, snapshot list) is
+//     ring of recent epoch trackers, the history's log chunks and
+//     snapshot byte images — alive for the duration of the query,
+//     however far the writer advances meanwhile.
+//   - History is one CheckpointedLog (lazy/checkpointed_log.h). A view
+//     holds a copy taken at publish; readers only read entries below
+//     that copy's size, all written before the view's release-store —
+//     no torn reads, no locks, TSan-clean.
+//   - Writer-side state (live tracker, the writer's CheckpointedLog) is
 //     touched only by the writer thread.
 //
 // Consistency guarantees:
@@ -35,14 +34,14 @@
 //     reflects.
 //   - Provenance(v, t) is exact for any t at or below the pinned
 //     epoch's watermark: resolved from a ring epoch when one matches,
-//     otherwise nearest retained snapshot + delta replay of the pinned
-//     log (the TimeTravelIndex recipe, online). For t beyond the
-//     watermark the answer is the epoch state — complete through the
-//     watermark, with EpochInfo reporting the gap.
-//   - A service seeded from a finalized TimeTravelIndex answers
-//     t < the handoff watermark from the index and later times from its
-//     own log; the live tracker starts from the index's final state, so
-//     the two regimes meet bit-exactly at the boundary.
+//     otherwise CheckpointedLog::Replay of the pinned history (nearest
+//     snapshot + delta). For t beyond the watermark the answer is the
+//     epoch state — complete through the watermark, with EpochInfo
+//     reporting the gap.
+//   - A service seeded from a finalized TimeTravelIndex or a recovered
+//     directory starts its history with the seed's log and snapshots,
+//     and its live tracker from the seed's final state; epoch prefixes
+//     count from the start of that history, so one log answers every t.
 #ifndef TINPROV_SERVE_SERVICE_H_
 #define TINPROV_SERVE_SERVICE_H_
 
@@ -59,6 +58,7 @@
 #include "core/buffer.h"
 #include "core/tin.h"
 #include "core/types.h"
+#include "lazy/checkpointed_log.h"
 #include "lazy/time_travel.h"
 #include "parallel/sharded_replay.h"
 #include "serve/request_queue.h"
@@ -82,13 +82,12 @@ class Recorder;
 
 /// Durability wiring for a service (ServeOptions::durability). With a
 /// non-empty dir the service recovers whatever the directory holds on
-/// construction (newest valid snapshot + checksummed log replay,
-/// truncating at the first torn or corrupt record), seeds its live
-/// tracker and a TimeTravelIndex from the recovered state, then keeps
-/// the directory current: every applied micro-batch lands in the
-/// segment log, every published epoch's byte image becomes a snapshot.
-/// A restart therefore resumes bit-identically to a clean replay of
-/// the recovered prefix.
+/// construction (the checksummed log up to the first torn or corrupt
+/// record, every valid snapshot), seeds its live tracker and history
+/// from it, then keeps the directory current: every applied micro-batch
+/// lands in the segment log, every published epoch's byte image becomes
+/// a snapshot. A restart therefore resumes bit-identically to a clean
+/// replay of the recovered prefix.
 struct DurabilityOptions {
   /// Storage directory (created if missing). Empty = in-memory only —
   /// the pre-durability behavior, and the default.
@@ -98,13 +97,6 @@ struct DurabilityOptions {
   storage::Env* env = nullptr;
   /// Segment rotation / per-batch fsync / fail-stop-vs-degrade policy.
   storage::DurableLogOptions log;
-  /// Recover existing state on construction. Off opens the directory
-  /// for appending only (a deliberate restart-from-scratch keeps old
-  /// segments dead weight — prefer a fresh dir).
-  bool recover = true;
-  /// Snapshot interval of the TimeTravelIndex built over the recovered
-  /// log (pre-crash historical queries).
-  size_t history_snapshot_interval = 4096;
   /// storage.disk_headroom health check trips below this many free
   /// bytes on dir's filesystem.
   uint64_t min_free_disk_bytes = 64ull << 20;
@@ -126,8 +118,9 @@ struct ServeOptions {
   /// Retain the ingested log (chunked) and every epoch's byte image so
   /// Provenance(v, t) can delta-replay to arbitrary past times. With
   /// retention off, standing memory stops growing with the stream and
-  /// historical queries resolve only from the ring (or the handoff
-  /// index); anything older returns FailedPrecondition.
+  /// historical queries resolve only from the latest epoch or the
+  /// seeded (handoff or recovered) history; anything else returns
+  /// FailedPrecondition.
   bool retain_history = true;
   /// Worker threads for the Submit() queue. 0 = inline execution; the
   /// direct query methods never use the pool either way.
@@ -176,10 +169,11 @@ class ProvenanceService {
       ServeOptions options = {});
 
   /// As Create(), but seeded from a finalized TimeTravelIndex: the live
-  /// tracker restores the index's final state (SaveFinalState) and
-  /// Provenance(v, t) routes times below the handoff watermark through
-  /// the index. The factory `spec` must build trackers configured
-  /// identically to the index's own, or the restore fails.
+  /// tracker restores the index's final state (SaveFinalState) and the
+  /// history starts with the index's log and snapshots. The factory
+  /// `spec` must build trackers configured identically to the index's
+  /// own, or the restore fails. Durable services refuse a handoff index:
+  /// their history is their directory.
   static StatusOr<std::unique_ptr<ProvenanceService>> CreateWithHistory(
       const TrackerSpec& spec, const DatasetStats& stats,
       std::shared_ptr<const TimeTravelIndex> history,
@@ -200,7 +194,7 @@ class ProvenanceService {
   /// SaveState bytes included — as the live tracker, and
   /// publishes it as an epoch. Start() then continues with the live
   /// tail from the catchup watermark. Must run before Start(), at most
-  /// once, from empty state (no handoff index) and with durability off
+  /// once, from empty state (no seeded history) and with durability off
   /// (the catchup batches would bypass the durable log). With history
   /// retention on, the catchup interactions land in the retained log,
   /// so Provenance(v, t) works across the catchup range exactly as if
@@ -237,8 +231,8 @@ class ProvenanceService {
   QueryResult Provenance(VertexId v) const;
 
   /// Provenance of `v` at historical time `t` — see the consistency
-  /// notes above for how t relates to the handoff index, the retained
-  /// log, and the epoch watermark.
+  /// notes above for how t relates to the history and the epoch
+  /// watermark.
   QueryResult Provenance(VertexId v, Timestamp t) const;
 
   /// The k origins contributing the most quantity to v's buffer at the
@@ -298,17 +292,17 @@ class ProvenanceService {
   struct EpochView;  // service.cc: the immutable published state
 
   ProvenanceService(TrackerFactory factory, TrackerSpec spec,
-                    const DatasetStats& stats, const ServeOptions& options,
-                    std::shared_ptr<const TimeTravelIndex> history);
+                    const DatasetStats& stats, const ServeOptions& options);
 
-  /// Builds and publishes epoch 0 (initial or handoff state).
+  /// Builds and publishes epoch 0: the handoff state at the end of the
+  /// seeded history (log_), or the empty state when there is none.
   Status Init(const std::vector<uint8_t>* handoff_state);
 
   /// Writer body: drains stream_, publishing epochs along the way.
   Status RunIngest();
 
   /// Writer (via LogSink): appends one pulled interaction to the
-  /// chunked log. No-op when history retention is off.
+  /// history. No-op when history retention is off.
   void AppendLog(const Interaction& interaction);
 
   /// Writer: publishes the current live-tracker state as a new epoch.
@@ -328,30 +322,25 @@ class ProvenanceService {
   TrackerSpec tracker_spec_;  // for Catchup()'s ShardedSpec lookup
   DatasetStats stats_;
   ServeOptions options_;
-  std::shared_ptr<const TimeTravelIndex> history_;
-  Timestamp history_watermark_;  // meaningful iff history_ != nullptr
-  /// Watermark the live ingest must resume at or above: the handoff
-  /// watermark, raised by Catchup() to the catchup watermark.
-  Timestamp resume_watermark_;
+  /// Watermark the live ingest must resume at or above: the seeded
+  /// history's, raised by Catchup() to the catchup watermark.
+  Timestamp resume_watermark_ = std::numeric_limits<Timestamp>::lowest();
 
   // Writer-owned after Start() (and during Init).
   std::unique_ptr<Tracker> live_tracker_;
   std::unique_ptr<InteractionStream> stream_;
   /// Durable log, or null when ServeOptions::durability is off. Written
   /// by the writer thread; other threads observe it through the
-  /// storage.* gauges only.
+  /// storage.* gauges only. Its positions are epoch prefixes.
   std::unique_ptr<storage::DurableLog> durable_;
-  /// Recovered global prefix — the durable log position local epoch
-  /// prefixes are offset by (snapshot files carry global positions).
-  uint64_t durable_base_ = 0;
-  class LogSink;  // service.cc: tee stream appending into the chunked log
-  std::vector<std::shared_ptr<std::vector<Interaction>>> chunks_;
-  size_t log_size_ = 0;
-  /// Interactions applied before the writer's own ingest begins —
-  /// Catchup()'s count. Epoch prefixes offset by it so they keep
-  /// indexing the full retained log.
+  class LogSink;  // service.cc: tee stream appending into log_
+  /// The history: seeded interactions and snapshots, then (with
+  /// retention on) every ingested interaction and published epoch.
+  CheckpointedLog log_;
+  /// Interactions applied before the writer's own ingest begins — the
+  /// seeded history's or Catchup()'s count. Epoch prefixes offset by it
+  /// so they keep indexing the full history.
   size_t prefix_base_ = 0;
-  size_t snapshot_bytes_ = 0;  // running total of retained byte images
   uint64_t next_seq_ = 0;
   Stopwatch since_publish_;  // serve.epoch_age_ns at publish time
 

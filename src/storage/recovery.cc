@@ -29,6 +29,7 @@ Status ReadLog(Env* env, const std::string& dir, ReadLogResult* out) {
   for (const auto& [seq, name] : segments) {
     if (broken) {
       ++out->segments_dropped;
+      out->dropped_segments.push_back(name);
       continue;
     }
     SegmentReadResult segment;
@@ -50,6 +51,7 @@ Status ReadLog(Env* env, const std::string& dir, ReadLogResult* out) {
       }
       broken = true;
       ++out->segments_dropped;
+      out->dropped_segments.push_back(name);
       ++out->corrupt_records;
       TINPROV_COUNTER_ADD("storage.segment_corrupt", 1);
       continue;
@@ -80,50 +82,39 @@ StatusOr<RecoveredState> RecoveryManager::Recover(
   ReadLogResult log;
   Status status = ReadLog(env_, dir_, &log);
   if (!status.ok()) return status;
-  out.log = std::move(log.interactions);
+  for (const Interaction& interaction : log.interactions) {
+    out.log.Append(interaction);
+  }
   out.prefix = out.log.size();
+  if (!out.log.empty()) out.watermark = out.log[out.log.size() - 1].t;
   out.torn_tails = log.torn_tails;
   out.corrupt_records = log.corrupt_records;
-  out.segments_dropped = log.segments_dropped;
+  out.dropped_segments = std::move(log.dropped_segments);
   out.next_seq = log.next_seq;
 
-  LoadedSnapshot snapshot;
   if (env_->FileExists(dir_)) {
     SnapshotStore store(env_, dir_);
-    auto loaded = store.LoadNewestValid(out.prefix);
+    auto loaded = store.LoadAllValid(out.prefix);
     if (!loaded.ok()) return loaded.status();
-    snapshot = *std::move(loaded);
+    out.snapshots_skipped = loaded->corrupt_skipped;
+    for (LoadedSnapshot& snapshot : loaded->snapshots) {
+      out.log.AddCheckpoint(
+          snapshot.prefix,
+          std::make_shared<const std::vector<uint8_t>>(
+              std::move(snapshot.state)));
+    }
   }
-  out.snapshot_prefix = snapshot.prefix;
-  out.snapshots_skipped = snapshot.corrupt_skipped;
 
-  std::unique_ptr<Tracker> tracker = factory();
-  if (tracker == nullptr) {
-    return Status::Internal("tracker factory returned null");
+  size_t replayed = 0;
+  auto tracker = out.log.Replay(factory, out.prefix, &replayed);
+  if (!tracker.ok()) {
+    return Status(tracker.status().code(),
+                  "recovery (is the recovery spec configured like the "
+                  "writer's?): " +
+                      tracker.status().message());
   }
-  if (snapshot.prefix > 0) {
-    status = tracker->RestoreState(snapshot.state);
-    if (!status.ok()) {
-      return Status(status.code(),
-                    "restoring the checksummed snapshot at prefix " +
-                        std::to_string(snapshot.prefix) +
-                        " (is the recovery spec configured like the "
-                        "writer's?): " +
-                        status.message());
-    }
-    out.watermark = snapshot.watermark;
-  }
-  for (uint64_t i = snapshot.prefix; i < out.prefix; ++i) {
-    status = tracker->Process(out.log[static_cast<size_t>(i)]);
-    if (!status.ok()) {
-      return Status(status.code(), "recovery replay at interaction " +
-                                       std::to_string(i) + ": " +
-                                       status.message());
-    }
-  }
-  out.replayed = out.prefix - snapshot.prefix;
-  if (!out.log.empty()) out.watermark = out.log.back().t;
-  tracker->SaveState(&out.state);
+  out.replayed = replayed;
+  (*tracker)->SaveState(&out.state);
 
   TINPROV_COUNTER_ADD("storage.recoveries", 1);
   TINPROV_GAUGE_SET("storage.recovered_interactions", out.prefix);
@@ -131,22 +122,22 @@ StatusOr<RecoveredState> RecoveryManager::Recover(
   return out;
 }
 
-StatusOr<std::shared_ptr<const TimeTravelIndex>> BuildRecoveredIndex(
-    const RecoveredState& recovered, size_t num_vertices,
-    const TrackerFactory& factory, size_t snapshot_interval) {
-  if (recovered.log.empty()) {
-    return std::shared_ptr<const TimeTravelIndex>();
+Status RecoveryManager::DiscardUntrusted(
+    const RecoveredState& recovered) const {
+  if (!env_->FileExists(dir_)) return Status::Ok();
+  for (const std::string& name : recovered.dropped_segments) {
+    const Status status = env_->DeleteFile(JoinPath(dir_, name));
+    if (!status.ok() && status.code() != StatusCode::kNotFound) return status;
   }
-  auto index =
-      TimeTravelIndex::NewStreaming(num_vertices, factory, snapshot_interval);
-  if (!index.ok()) return index.status();
-  for (const Interaction& interaction : recovered.log) {
-    const Status status = (*index)->Observe(interaction);
-    if (!status.ok()) return status;
+  SnapshotStore store(env_, dir_);
+  auto metas = store.List();
+  if (!metas.ok()) return metas.status();
+  for (const SnapshotMeta& meta : *metas) {
+    if (meta.prefix <= recovered.prefix) continue;
+    const Status status = env_->DeleteFile(JoinPath(dir_, meta.name));
+    if (!status.ok() && status.code() != StatusCode::kNotFound) return status;
   }
-  const Status status = (*index)->Finalize();
-  if (!status.ok()) return status;
-  return std::shared_ptr<const TimeTravelIndex>(std::move(*index));
+  return Status::Ok();
 }
 
 }  // namespace tinprov::storage

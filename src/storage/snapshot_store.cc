@@ -119,22 +119,26 @@ Status SnapshotStore::Load(const SnapshotMeta& meta,
   }
   out->prefix = prefix;
   out->watermark = watermark;
-  out->state.resize(static_cast<size_t>(state_len));
-  return reader.ReadSpan(out->state.data(), out->state.size());
+  // The state is the frame minus its header and CRC trailer: trim them
+  // in place instead of copying a second image.
+  bytes.resize(bytes.size() - 4);
+  bytes.erase(bytes.begin(), bytes.end() - static_cast<ptrdiff_t>(state_len));
+  out->state = std::move(bytes);
+  return Status::Ok();
 }
 
-StatusOr<LoadedSnapshot> SnapshotStore::LoadNewestValid(
+StatusOr<ValidSnapshots> SnapshotStore::LoadAllValid(
     uint64_t max_prefix) const {
   auto metas = List();
   if (!metas.ok()) return metas.status();
-  LoadedSnapshot out;
-  for (auto it = metas->rbegin(); it != metas->rend(); ++it) {
-    if (it->prefix > max_prefix) continue;
-    LoadedSnapshot candidate;
-    const Status status = Load(*it, &candidate);
+  ValidSnapshots out;
+  for (const SnapshotMeta& meta : *metas) {
+    if (meta.prefix > max_prefix) break;
+    LoadedSnapshot snapshot;
+    const Status status = Load(meta, &snapshot);
     if (status.ok()) {
-      candidate.corrupt_skipped = out.corrupt_skipped;
-      return candidate;
+      out.snapshots.push_back(std::move(snapshot));
+      continue;
     }
     // Unavailable is an env/IO failure worth surfacing; InvalidArgument
     // is a corrupt file worth skipping.
@@ -142,7 +146,6 @@ StatusOr<LoadedSnapshot> SnapshotStore::LoadNewestValid(
     ++out.corrupt_skipped;
     TINPROV_COUNTER_ADD("storage.snapshot_corrupt", 1);
   }
-  // Nothing valid: the empty prefix-0 snapshot (restore from scratch).
   return out;
 }
 

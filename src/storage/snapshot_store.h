@@ -11,9 +11,9 @@
 // Visibility is atomic: the store writes to a temp name, fsyncs, then
 // renames into place, so a crash mid-snapshot leaves at worst a stray
 // temp file (swept on open) and never a half-visible snapshot. Loading
-// walks snapshots newest-first and falls back past any that fail their
-// checksum — a corrupt snapshot costs recovery time (longer delta
-// replay), never correctness.
+// returns every snapshot that passes its checksum and skips the rest —
+// a corrupt snapshot costs recovery time (longer delta replay), never
+// correctness.
 #ifndef TINPROV_STORAGE_SNAPSHOT_STORE_H_
 #define TINPROV_STORAGE_SNAPSHOT_STORE_H_
 
@@ -37,8 +37,13 @@ struct LoadedSnapshot {
   uint64_t prefix = 0;
   Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
   std::vector<uint8_t> state;
+};
+
+struct ValidSnapshots {
+  /// Ascending by prefix.
+  std::vector<LoadedSnapshot> snapshots;
   /// Snapshots skipped because they failed validation (bit rot, torn
-  /// rename window) before this one loaded.
+  /// rename window).
   size_t corrupt_skipped = 0;
 };
 
@@ -55,11 +60,11 @@ class SnapshotStore {
   /// names are ignored; validity is only established by Load.
   StatusOr<std::vector<SnapshotMeta>> List() const;
 
-  /// Newest snapshot with prefix <= max_prefix that passes validation,
-  /// falling back to older ones past corruption. When none qualifies
-  /// the result is the empty prefix-0 snapshot — "recover from the
-  /// beginning", which is always safe.
-  StatusOr<LoadedSnapshot> LoadNewestValid(uint64_t max_prefix) const;
+  /// Every snapshot with prefix <= max_prefix that passes validation,
+  /// ascending; corrupt ones are skipped and counted. None qualifying
+  /// is an empty list — "recover from the beginning", always safe. Only
+  /// I/O errors fail the call.
+  StatusOr<ValidSnapshots> LoadAllValid(uint64_t max_prefix) const;
 
   /// Loads and validates one specific snapshot.
   Status Load(const SnapshotMeta& meta, LoadedSnapshot* out) const;

@@ -22,6 +22,7 @@
 #include "lazy/replay.h"
 #include "lazy/time_travel.h"
 #include "obs/health.h"
+#include "obs/metrics.h"
 #include "obs/slowlog.h"
 #include "policies/proportional_base.h"
 #include "serve/request_queue.h"
@@ -376,6 +377,127 @@ TEST(ServeHistoryTest, HandoffBoundaryMatchesFullReplay) {
     ExpectSameBuffer(full->Provenance(v), result.buffer,
                      "final vertex " + std::to_string(v));
   }
+}
+
+// ---------------------------------------------------------------------
+// (d1) The handoff seeds one global history: epoch prefixes continue
+// from the index's, the seeded log and snapshots are on the service's
+// memory bill, and every snapshot prefix ±1 on both sides of the seam
+// (plus the handoff watermark) answers like a clean prefix replay.
+
+TEST(ServeHistoryTest, HandoffSeedsOneGlobalHistory) {
+  const Tin tin = GeneratedTin();
+  const TrackerSpec spec = StreamingSpec("Prop-sparse");
+  auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
+  ASSERT_TRUE(factory.ok());
+
+  const auto& log = tin.interactions();
+  const size_t split = tin.num_interactions() / 2;
+  const size_t interval = 97;
+  auto index =
+      TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, interval);
+  ASSERT_TRUE(index.ok());
+  for (size_t i = 0; i < split; ++i) {
+    ASSERT_TRUE((*index)->Observe(log[i]).ok());
+  }
+  ASSERT_TRUE((*index)->Finalize().ok());
+  std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
+
+  ServeOptions options;
+  options.epoch_interval = 300;
+  auto service = ProvenanceService::CreateWithHistory(spec, tin.Stats(),
+                                                      history, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_EQ((*service)->LatestEpoch().prefix, split);
+#if defined(TINPROV_METRICS_ENABLED)
+  // The seeded history is counted: the index's log, its snapshots, and
+  // at most the handoff image on top.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  EXPECT_EQ(registry.GetGauge("memory.serve_log_bytes")->Value(),
+            static_cast<double>(history->log().log_bytes()));
+  const double snapshot_bytes =
+      registry.GetGauge("memory.serve_snapshot_bytes")->Value();
+  EXPECT_GE(snapshot_bytes,
+            static_cast<double>(history->log().checkpoint_bytes()));
+  EXPECT_LE(snapshot_bytes,
+            static_cast<double>(history->log().checkpoint_bytes() +
+                                (*service)->LatestEpochState()->size()));
+#endif
+
+  std::vector<Interaction> tail(log.begin() + split, log.end());
+  ASSERT_TRUE(
+      (*service)
+          ->Start(std::make_unique<VectorStream>(tin.num_vertices(),
+                                                 std::move(tail)))
+          .ok());
+  ASSERT_TRUE((*service)->WaitIngest().ok());
+  // Epoch prefixes are global: the last one is the whole log.
+  EXPECT_EQ((*service)->LatestEpoch().prefix, tin.num_interactions());
+
+  // Snapshot prefixes: the index's, the handoff, then every epoch.
+  std::vector<size_t> probes;
+  for (size_t p = interval; p <= split; p += interval) probes.push_back(p);
+  probes.push_back(split);
+  for (size_t p = split + options.epoch_interval; p <= log.size();
+       p += options.epoch_interval) {
+    probes.push_back(p);
+  }
+  probes.push_back(log.size());
+  for (const size_t probe : probes) {
+    for (const size_t p : {probe - 1, probe, probe + 1}) {
+      if (p == 0 || p > log.size()) continue;
+      const Timestamp t = log[p - 1].t;
+      const auto reference = ReferencePrefix(spec, tin, PrefixLength(tin, t));
+      for (const VertexId v : {VertexId{3}, VertexId{21}, VertexId{42}}) {
+        QueryResult result = (*service)->Provenance(v, t);
+        ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+        ExpectSameBuffer(reference->Provenance(v), result.buffer,
+                         "prefix " + std::to_string(p) + " v=" +
+                             std::to_string(v));
+      }
+    }
+  }
+}
+
+TEST(ServeHistoryTest, RetentionOffStillAnswersTheSeededHistory) {
+  const Tin tin = GeneratedTin();
+  const TrackerSpec spec = StreamingSpec("FIFO");
+  auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
+  ASSERT_TRUE(factory.ok());
+  const auto& log = tin.interactions();
+  const size_t split = tin.num_interactions() / 2;
+  auto index = TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, 97);
+  ASSERT_TRUE(index.ok());
+  for (size_t i = 0; i < split; ++i) {
+    ASSERT_TRUE((*index)->Observe(log[i]).ok());
+  }
+  ASSERT_TRUE((*index)->Finalize().ok());
+  std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
+
+  ServeOptions options;
+  options.epoch_interval = 100;
+  options.ring_size = 2;
+  options.retain_history = false;
+  auto service = ProvenanceService::CreateWithHistory(spec, tin.Stats(),
+                                                      history, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  std::vector<Interaction> tail(log.begin() + split, log.end());
+  ASSERT_TRUE(
+      (*service)
+          ->Start(std::make_unique<VectorStream>(tin.num_vertices(),
+                                                 std::move(tail)))
+          .ok());
+  ASSERT_TRUE((*service)->WaitIngest().ok());
+
+  // Before the handoff the seeded history answers exactly.
+  const Timestamp t = log[split / 3].t;
+  const auto reference = ReferencePrefix(spec, tin, PrefixLength(tin, t));
+  QueryResult seeded = (*service)->Provenance(5, t);
+  ASSERT_TRUE(seeded.status.ok()) << seeded.status.ToString();
+  ExpectSameBuffer(reference->Provenance(5), seeded.buffer, "seeded");
+  // The unretained live past far behind the ring has nothing to answer.
+  QueryResult stale = (*service)->Provenance(5, log[split + 10].t);
+  EXPECT_EQ(stale.status.code(), StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------

@@ -133,9 +133,10 @@ void ExpectInteractionsEqual(const std::vector<Interaction>& expected,
   }
 }
 
-/// True when `shorter` is an exact prefix of `longer`.
-bool IsPrefixOf(const std::vector<Interaction>& shorter,
-                const std::vector<Interaction>& longer) {
+/// True when `shorter` (a vector or a CheckpointedLog) is an exact
+/// prefix of `longer`.
+template <typename Log>
+bool IsPrefixOf(const Log& shorter, const std::vector<Interaction>& longer) {
   if (shorter.size() > longer.size()) return false;
   for (size_t i = 0; i < shorter.size(); ++i) {
     if (shorter[i].src != longer[i].src || shorter[i].dst != longer[i].dst ||
@@ -424,23 +425,30 @@ TEST(SnapshotStore, RoundtripAndNewestSelection) {
   EXPECT_EQ((*list)[0].prefix, 100u);
   EXPECT_EQ((*list)[1].prefix, 200u);
 
-  auto newest = store.LoadNewestValid(500);
-  ASSERT_TRUE(newest.ok());
-  EXPECT_EQ(newest->prefix, 200u);
-  EXPECT_EQ(newest->watermark, 20.0);
-  EXPECT_EQ(newest->state, state_b);
-  EXPECT_EQ(newest->corrupt_skipped, 0u);
+  // Both load, ascending, the newest last.
+  auto all = store.LoadAllValid(500);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->snapshots.size(), 2u);
+  EXPECT_EQ(all->snapshots[0].prefix, 100u);
+  EXPECT_EQ(all->snapshots[0].watermark, 10.0);
+  EXPECT_EQ(all->snapshots[0].state, state_a);
+  const st::LoadedSnapshot& newest = all->snapshots.back();
+  EXPECT_EQ(newest.prefix, 200u);
+  EXPECT_EQ(newest.watermark, 20.0);
+  EXPECT_EQ(newest.state, state_b);
+  EXPECT_EQ(all->corrupt_skipped, 0u);
 
-  // A prefix cap below 200 falls back to the older snapshot; below 100
-  // to the empty prefix-0 state.
-  auto capped = store.LoadNewestValid(150);
+  // A prefix cap below 200 keeps only the older snapshot; below 100
+  // none — the empty prefix-0 state.
+  auto capped = store.LoadAllValid(150);
   ASSERT_TRUE(capped.ok());
-  EXPECT_EQ(capped->prefix, 100u);
-  EXPECT_EQ(capped->state, state_a);
-  auto none = store.LoadNewestValid(99);
+  ASSERT_EQ(capped->snapshots.size(), 1u);
+  EXPECT_EQ(capped->snapshots[0].prefix, 100u);
+  EXPECT_EQ(capped->snapshots[0].state, state_a);
+  auto none = store.LoadAllValid(99);
   ASSERT_TRUE(none.ok());
-  EXPECT_EQ(none->prefix, 0u);
-  EXPECT_TRUE(none->state.empty());
+  EXPECT_TRUE(none->snapshots.empty());
+  EXPECT_EQ(none->corrupt_skipped, 0u);
 }
 
 TEST(SnapshotStore, FallsBackPastCorruption) {
@@ -456,9 +464,10 @@ TEST(SnapshotStore, FallsBackPastCorruption) {
   bytes[bytes.size() / 2] ^= 0x10;
   DumpFile(newest_path, bytes);
 
-  auto loaded = store.LoadNewestValid(500);
+  auto loaded = store.LoadAllValid(500);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->prefix, 100u);
+  ASSERT_EQ(loaded->snapshots.size(), 1u);
+  EXPECT_EQ(loaded->snapshots[0].prefix, 100u);
   EXPECT_EQ(loaded->corrupt_skipped, 1u);
 
   // Every snapshot corrupt: the empty prefix-0 result, never an error.
@@ -467,9 +476,9 @@ TEST(SnapshotStore, FallsBackPastCorruption) {
   bytes = SlurpFile(older_path);
   bytes[0] ^= 0xff;
   DumpFile(older_path, bytes);
-  loaded = store.LoadNewestValid(500);
+  loaded = store.LoadAllValid(500);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->prefix, 0u);
+  EXPECT_TRUE(loaded->snapshots.empty());
   EXPECT_EQ(loaded->corrupt_skipped, 2u);
 }
 
@@ -760,8 +769,8 @@ TEST(Recovery, EveryTrackerEveryFaultModeRecoversBitExactly) {
 
         // Bit-exact equivalence with a clean replay of that prefix.
         std::unique_ptr<Tracker> reference = (*factory)();
-        for (const Interaction& interaction : recovered->log) {
-          ASSERT_TRUE(reference->Process(interaction).ok()) << context;
+        for (size_t i = 0; i < recovered->log.size(); ++i) {
+          ASSERT_TRUE(reference->Process(recovered->log[i]).ok()) << context;
         }
         std::vector<uint8_t> reference_state;
         reference->SaveState(&reference_state);
@@ -869,7 +878,6 @@ ServeOptions DurableServeOptions(const std::string& dir, st::Env* env) {
   options.durability.dir = dir;
   options.durability.env = env;
   options.durability.log.rotate_bytes = 4096;
-  options.durability.history_snapshot_interval = 200;
   return options;
 }
 
@@ -880,6 +888,46 @@ void ExpectSameBuffer(const Buffer& expected, const Buffer& actual,
   for (size_t i = 0; i < expected.entries.size(); ++i) {
     EXPECT_TRUE(expected.entries[i] == actual.entries[i])
         << context << " entry " << i;
+  }
+}
+
+/// Holds `service`'s historical answers to a clean replay: for t at
+/// every snapshot prefix on disk ±1 and at the last of `length`
+/// interactions (the watermark), Provenance(v, t) must equal a fresh
+/// tracker's state after data's interactions with timestamp <= t.
+void ExpectHistoryMatchesCleanReplay(const ProvenanceService& service,
+                                     const TrackerFactory& factory,
+                                     const std::vector<Interaction>& data,
+                                     size_t length, const std::string& dir,
+                                     const std::string& context) {
+  std::vector<size_t> probes = {length};
+  auto metas = st::SnapshotStore(st::Env::Posix(), dir).List();
+  ASSERT_TRUE(metas.ok()) << context;
+  for (const st::SnapshotMeta& meta : *metas) {
+    for (const uint64_t p : {meta.prefix - 1, meta.prefix, meta.prefix + 1}) {
+      if (p >= 1 && p <= length) probes.push_back(static_cast<size_t>(p));
+    }
+  }
+  std::sort(probes.begin(), probes.end());
+  probes.erase(std::unique(probes.begin(), probes.end()), probes.end());
+
+  std::unique_ptr<Tracker> reference = factory();
+  size_t applied = 0;
+  for (const size_t probe : probes) {
+    const Timestamp t = data[probe - 1].t;
+    size_t end = probe;
+    while (end < length && data[end].t <= t) ++end;
+    for (; applied < end; ++applied) {
+      ASSERT_TRUE(reference->Process(data[applied]).ok()) << context;
+    }
+    for (VertexId v = 0; v < service.num_vertices(); v += 3) {
+      const QueryResult result = service.Provenance(v, t);
+      ASSERT_TRUE(result.status.ok())
+          << context << " prefix " << end << ": " << result.status.message();
+      ExpectSameBuffer(reference->Provenance(v), result.buffer,
+                       context + " prefix " + std::to_string(end) +
+                           " vertex " + std::to_string(v));
+    }
   }
 }
 
@@ -1001,8 +1049,8 @@ TEST(ServeDurable, TornCrashRecoversToCleanReplayOfTheTrustedPrefix) {
         spec, stats, DurableServeOptions(dir.path(), &env));
     ASSERT_TRUE(service.ok()) << name << ": " << service.status().message();
     std::unique_ptr<Tracker> reference = (*factory)();
-    for (const Interaction& interaction : recovered->log) {
-      ASSERT_TRUE(reference->Process(interaction).ok());
+    for (size_t i = 0; i < recovered->log.size(); ++i) {
+      ASSERT_TRUE(reference->Process(recovered->log[i]).ok());
     }
     for (VertexId v = 0; v < stats.num_vertices; ++v) {
       const QueryResult result = (*service)->Provenance(v);
@@ -1105,6 +1153,175 @@ TEST(ServeDurable, RejectsTwoHistorySources) {
       DurableServeOptions(dir.path(), nullptr));
   ASSERT_FALSE(conflicted.ok());
   EXPECT_EQ(conflicted.status().code(), StatusCode::kInvalidArgument);
+}
+
+// History across the restart seam: the re-created service answers from
+// the snapshots the writer already persisted, like a clean replay at
+// every snapshot prefix ±1 and at the recovered watermark — before and
+// after it resumes ingesting — and the recovered history is on its
+// memory bill.
+TEST(ServeDurable, RecoveredHistoryMatchesCleanReplayAcrossTheRestart) {
+  const Tin tin = GeneratedTin(40, 2000, 23);
+  const std::vector<Interaction>& data = tin.interactions();
+  const DatasetStats stats = tin.Stats();
+  const size_t split = data.size() * 6 / 10;
+
+  for (const std::string& name : {std::string("LRB"),
+                                  std::string("Prop-sparse")}) {
+    ScratchDir dir("serve_history");
+    const TrackerSpec spec = StreamingSpec(name);
+    auto factory = TrackerRegistry::Global().Factory(spec, stats);
+    ASSERT_TRUE(factory.ok());
+    {
+      auto service = ProvenanceService::Create(
+          spec, stats, DurableServeOptions(dir.path(), nullptr));
+      ASSERT_TRUE(service.ok()) << name;
+      ASSERT_TRUE((*service)
+                      ->Start(std::make_unique<VectorStream>(
+                          stats.num_vertices,
+                          std::vector<Interaction>(data.begin(),
+                                                   data.begin() + split)))
+                      .ok());
+      ASSERT_TRUE((*service)->WaitIngest().ok()) << name;
+    }
+
+    auto service = ProvenanceService::Create(
+        spec, stats, DurableServeOptions(dir.path(), nullptr));
+    ASSERT_TRUE(service.ok()) << name << ": " << service.status().message();
+    // Epoch prefixes count from the start of the recovered history.
+    EXPECT_EQ((*service)->LatestEpoch().prefix, split) << name;
+#if defined(TINPROV_METRICS_ENABLED)
+    auto loaded = st::SnapshotStore(st::Env::Posix(), dir.path())
+                      .LoadAllValid(split);
+    ASSERT_TRUE(loaded.ok());
+    ASSERT_FALSE(loaded->snapshots.empty());
+    // The drain persisted the final epoch, so the handoff image adds
+    // nothing: the seeded snapshots are exactly the ones on disk.
+    ASSERT_EQ(loaded->snapshots.back().prefix, split);
+    size_t image_bytes = 0;
+    for (const st::LoadedSnapshot& snapshot : loaded->snapshots) {
+      image_bytes += snapshot.state.size();
+    }
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    EXPECT_EQ(registry.GetGauge("memory.serve_log_bytes")->Value(),
+              static_cast<double>(split * sizeof(Interaction)))
+        << name;
+    EXPECT_EQ(registry.GetGauge("memory.serve_snapshot_bytes")->Value(),
+              static_cast<double>(image_bytes))
+        << name;
+#endif
+    ExpectHistoryMatchesCleanReplay(**service, *factory, data, split,
+                                    dir.path(), name + " recovered");
+
+    ASSERT_TRUE((*service)
+                    ->Start(std::make_unique<VectorStream>(
+                        stats.num_vertices,
+                        std::vector<Interaction>(data.begin() + split,
+                                                 data.end())))
+                    .ok());
+    ASSERT_TRUE((*service)->WaitIngest().ok()) << name;
+    EXPECT_EQ((*service)->LatestEpoch().prefix, data.size()) << name;
+    ExpectHistoryMatchesCleanReplay(**service, *factory, data, data.size(),
+                                    dir.path(), name + " resumed");
+  }
+}
+
+// A rotted byte ends the trusted log inside segment 1 and a second
+// writer resumes there with different data. Its fsynced appends must
+// survive the next recovery — the first writer's segments past the
+// break must not end the log before the resumed ones — and no snapshot
+// the first writer cut above the break may stand in for the new log.
+TEST(ServeDurable, ResumeAfterCorruptionKeepsTheResumedWriter) {
+  ScratchDir dir("serve_rot_resume");
+  const Tin tin_a = GeneratedTin(40, 1000, 24);
+  const Tin tin_b = GeneratedTin(40, 1000, 25);
+  const std::vector<Interaction>& a = tin_a.interactions();
+  const DatasetStats stats = tin_a.Stats();
+  const TrackerSpec spec = StreamingSpec("Prop-sparse");
+  auto factory = TrackerRegistry::Global().Factory(spec, stats);
+  ASSERT_TRUE(factory.ok());
+
+  // Writer A: 1,000 interactions in batches of 20 (100 per segment at
+  // this rotation size), a snapshot every 100.
+  {
+    std::unique_ptr<Tracker> tracker = (*factory)();
+    ASSERT_TRUE(SimulatedIngest(st::Env::Posix(), dir.path(), tracker.get(),
+                                a, 20, 100));
+  }
+  const std::string segment =
+      st::JoinPath(dir.path(), st::SegmentFileName(1));
+  std::vector<uint8_t> bytes = SlurpFile(segment);
+  bytes[bytes.size() / 2] ^= 0x10;
+  DumpFile(segment, bytes);
+  st::ReadLogResult rotted;
+  ASSERT_TRUE(st::ReadLog(st::Env::Posix(), dir.path(), &rotted).ok());
+  const size_t trusted = rotted.interactions.size();
+  ASSERT_GT(trusted, 100u);  // the break sits inside segment 1
+  ASSERT_LT(trusted, 200u);
+  ASSERT_GT(rotted.segments_dropped, 0u);
+
+  // Writer B: a durable service resumes at the trusted prefix and
+  // appends 1,000 different interactions.
+  std::vector<Interaction> expected(a.begin(), a.begin() + trusted);
+  for (Interaction interaction : tin_b.interactions()) {
+    interaction.t += a.back().t;
+    expected.push_back(interaction);
+  }
+  {
+    auto service = ProvenanceService::Create(
+        spec, stats, DurableServeOptions(dir.path(), nullptr));
+    ASSERT_TRUE(service.ok()) << service.status().message();
+    ASSERT_TRUE((*service)
+                    ->Start(std::make_unique<VectorStream>(
+                        stats.num_vertices,
+                        std::vector<Interaction>(expected.begin() + trusted,
+                                                 expected.end())))
+                    .ok());
+    ASSERT_TRUE((*service)->WaitIngest().ok());
+  }
+
+  // Recovery trusts A's prefix plus all of B, and the state is a clean
+  // replay of exactly that log.
+  st::RecoveryManager manager(st::Env::Posix(), dir.path());
+  auto recovered = manager.Recover(*factory);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  ASSERT_EQ(recovered->prefix, expected.size());
+  ASSERT_TRUE(IsPrefixOf(recovered->log, expected));
+  std::unique_ptr<Tracker> reference = (*factory)();
+  for (const Interaction& interaction : expected) {
+    ASSERT_TRUE(reference->Process(interaction).ok());
+  }
+  std::vector<uint8_t> reference_state;
+  reference->SaveState(&reference_state);
+  EXPECT_EQ(recovered->state, reference_state);
+
+  // Every snapshot on disk is a clean replay of the log at its prefix:
+  // none of A's from above the break survived.
+  st::SnapshotStore store(st::Env::Posix(), dir.path());
+  auto metas = store.List();
+  ASSERT_TRUE(metas.ok());
+  ASSERT_FALSE(metas->empty());
+  std::unique_ptr<Tracker> replay = (*factory)();
+  size_t applied = 0;
+  for (const st::SnapshotMeta& meta : *metas) {
+    ASSERT_LE(meta.prefix, expected.size());
+    st::LoadedSnapshot snapshot;
+    ASSERT_TRUE(store.Load(meta, &snapshot).ok()) << meta.name;
+    for (; applied < meta.prefix; ++applied) {
+      ASSERT_TRUE(replay->Process(expected[applied]).ok());
+    }
+    std::vector<uint8_t> state;
+    replay->SaveState(&state);
+    EXPECT_EQ(snapshot.state, state) << "snapshot at prefix " << meta.prefix;
+  }
+
+  // A re-created service answers the whole history like a clean replay.
+  auto service = ProvenanceService::Create(
+      spec, stats, DurableServeOptions(dir.path(), nullptr));
+  ASSERT_TRUE(service.ok()) << service.status().message();
+  ExpectHistoryMatchesCleanReplay(**service, *factory, expected,
+                                  expected.size(), dir.path(),
+                                  "resumed after rot");
 }
 
 #if !defined(TINPROV_NO_THREADS)
