@@ -15,7 +15,7 @@
 // The sweep is clamped to std::thread::hardware_concurrency() so the
 // recorded JSON reflects real parallelism; TINPROV_THREADS overrides
 // the cap, and rows beyond the hardware width are annotated as
-// oversubscribed (they exercise the scheduler, not the machine).
+// oversubscribed (they measure thread scheduling, not the machine).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

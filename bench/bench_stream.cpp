@@ -105,9 +105,7 @@ int main() {
       return 1;
     }
     ParallelParams parallel;  // hardware threads, one shard each
-    ShardedReplayEngine engine(
-        DatasetStats{config.num_vertices, config.num_interactions},
-        *std::move(spec), parallel);
+    ShardedReplayEngine engine(*std::move(spec), parallel);
     GeneratorStream sharded_stream = MustMakeStream(config);
     auto sharded = engine.ReplayStream(sharded_stream);
     if (!sharded.ok()) {
@@ -141,7 +139,7 @@ int main() {
         {"streaming+sharded", FormatSeconds(sharded->replay_seconds),
          FormatCompact(rate_base / std::max(sharded->replay_seconds, 1e-12),
                        2),
-         FormatBytes((parallel.stream_queue_chunks + sharded->num_threads) *
+         FormatBytes((kStreamQueueChunks + sharded->num_threads) *
                      parallel.stream_chunk * sizeof(Interaction)),
          FormatBytes(sharded->tracker->MemoryUsage()),
          sharded->used_parallel_path

@@ -5,6 +5,7 @@
 
 #include "obs/trace.h"
 #include "policies/proportional_dense.h"
+#include "stream/interaction_stream.h"
 #include "util/stopwatch.h"
 
 namespace tinprov {
@@ -126,16 +127,15 @@ StatusOr<Measurement> MeasureTracker(const TrackerSpec& spec,
     auto sharded = registry.Sharded(spec, tin);
     if (!sharded.ok()) return sharded.status();
     const bool decomposable = sharded->decomposable;
-    ShardedReplayEngine engine(tin, *std::move(sharded),
-                               options.parallel_params);
+    ShardedReplayEngine engine(*std::move(sharded), options.parallel_params);
     if (decomposable && engine.ResolvedThreads() > 1) {
-      auto result = engine.Replay();
+      MaterializedStream stream(tin);
+      auto result = engine.ReplayStream(stream);
       if (!result.ok()) return result.status();
       Measurement measurement;
       // replay_seconds excludes the exchange phase, making this number
-      // comparable to MeasureRun's Process()-loop timing: a sequential
-      // tracker needs no exchange to become queryable, and neither do
-      // the shard trackers (QueryPrefix interleaves on demand).
+      // comparable to MeasureRun's Process()-loop timing, which has no
+      // exchange to pay.
       measurement.seconds = result->replay_seconds;
       measurement.peak_memory = result->tracker->MemoryUsage();
       measurement.peak_allocator_bytes = result->tracker->MemoryBytes();

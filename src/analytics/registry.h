@@ -35,7 +35,7 @@ struct ScalableParams {
 
 /// How a spec's selection preprocessing may be performed.
 ///   kMaterialized — a log is available: Selective pre-scans it for its
-///     top generating vertices, Activity sharding can measure labels.
+///     top generating vertices.
 ///   kStreaming — the dataset's shape is all that is known up front.
 ///     One semantic difference is forced by streaming: "Selective"
 ///     cannot pre-scan the stream for its top generators, so it tracks

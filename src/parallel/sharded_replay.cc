@@ -9,7 +9,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/scheduler.h"
+#include "scalable/grouped.h"
 #include "stream/ingest.h"
 #include "stream/interaction_stream.h"
 #include "util/stopwatch.h"
@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <thread>
 #endif
 
 namespace tinprov {
@@ -38,50 +39,21 @@ void ReserveShard(SparseProportionalBase* tracker,
 
 }  // namespace
 
-ShardedReplayEngine::ShardedReplayEngine(const Tin& tin, ShardedSpec spec,
-                                         ParallelParams params)
-    : tin_(&tin), spec_(std::move(spec)), params_(params) {}
+size_t HardwareThreads() {
+#if defined(TINPROV_NO_THREADS)
+  return 1;
+#else
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : static_cast<size_t>(n);
+#endif
+}
 
-ShardedReplayEngine::ShardedReplayEngine(const DatasetStats& /*stats*/,
-                                         ShardedSpec spec,
+ShardedReplayEngine::ShardedReplayEngine(ShardedSpec spec,
                                          ParallelParams params)
-    : tin_(nullptr), spec_(std::move(spec)), params_(params) {}
+    : spec_(std::move(spec)), params_(params) {}
 
 size_t ShardedReplayEngine::ResolvedThreads() const {
   return params_.num_threads == 0 ? HardwareThreads() : params_.num_threads;
-}
-
-std::vector<GroupId> ShardedReplayEngine::AssignLabels(const Tin& tin,
-                                                       ShardStrategy strategy,
-                                                       size_t label_count,
-                                                       size_t num_shards) {
-  switch (strategy) {
-    case ShardStrategy::kRoundRobin:
-      return RoundRobinGroups(label_count, num_shards);
-    case ShardStrategy::kHash:
-      return HashGroups(label_count, num_shards);
-    case ShardStrategy::kContiguous:
-      return ContiguousGroups(label_count, num_shards);
-    case ShardStrategy::kActivity:
-      // LPT over interaction activity only makes sense when labels ARE
-      // vertices; group-id label spaces fall back to round-robin.
-      if (label_count == tin.num_vertices()) {
-        return ActivityGroups(tin, num_shards);
-      }
-      return RoundRobinGroups(label_count, num_shards);
-  }
-  return RoundRobinGroups(label_count, num_shards);
-}
-
-Status ShardedReplayEngine::RequireLog() const {
-  if (tin_ != nullptr) return Status::Ok();
-  return Status::FailedPrecondition(
-      "engine was built without a materialized log — use ReplayStream");
-}
-
-StatusOr<ShardedReplayResult> ShardedReplayEngine::Replay() const {
-  // MaterializedStream clamps the prefix to the log length.
-  return ReplayPrefix(std::numeric_limits<size_t>::max());
 }
 
 StatusOr<ShardedReplayResult> ShardedReplayEngine::SequentialStreamReplay(
@@ -119,28 +91,9 @@ bool ShardedReplayEngine::UsesShards(size_t* num_shards) const {
 void ShardedReplayEngine::PartitionLabels(ShardRun* run,
                                           size_t num_shards) const {
   const size_t label_count = spec_.label_count;
-  // Deterministic label partition, independent of threading. Only
-  // kActivity needs a log (to measure activity); in the Tin-free
-  // streaming form it falls back to round-robin while the other
-  // strategies apply unchanged.
-  std::vector<GroupId> assignment;
-  if (tin_ != nullptr) {
-    assignment =
-        AssignLabels(*tin_, params_.strategy, label_count, num_shards);
-  } else {
-    switch (params_.strategy) {
-      case ShardStrategy::kHash:
-        assignment = HashGroups(label_count, num_shards);
-        break;
-      case ShardStrategy::kContiguous:
-        assignment = ContiguousGroups(label_count, num_shards);
-        break;
-      case ShardStrategy::kRoundRobin:
-      case ShardStrategy::kActivity:
-        assignment = RoundRobinGroups(label_count, num_shards);
-        break;
-    }
-  }
+  // Deterministic label partition, independent of threading.
+  const std::vector<GroupId> assignment =
+      RoundRobinGroups(label_count, num_shards);
   run->masks.assign(num_shards, std::vector<uint8_t>(label_count, 0));
   run->labels_per_shard.assign(num_shards, 0);
   for (size_t label = 0; label < label_count; ++label) {
@@ -243,24 +196,34 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
     // Bounded broadcast queue: the producer appends shared chunks, each
     // worker consumes every chunk in order for the shards it owns
     // (shard s belongs to worker s % num_workers), and fully consumed
-    // chunks are popped. The queue holds at most stream_queue_chunks
+    // chunks are popped. The queue holds at most kStreamQueueChunks
     // chunks and each worker can pin one popped chunk it is still
     // processing, so live buffering never exceeds
-    // (stream_queue_chunks + num_workers) * stream_chunk interactions.
-    const size_t max_chunks = std::max<size_t>(1, params_.stream_queue_chunks);
+    // (kStreamQueueChunks + num_workers) * stream_chunk interactions.
+    //
+    // A shard error stops the producer, but every worker still runs the
+    // chunks up to the earliest failing one, so the error reported is
+    // the one the inline path meets first, whatever the thread timing.
+    constexpr size_t kNoFailure = std::numeric_limits<size_t>::max();
+    struct Failure {
+      size_t chunk = kNoFailure;
+      size_t shard = 0;
+      Status status;
+    };
     std::mutex mu;
     std::condition_variable producer_cv, consumer_cv;
     std::deque<std::shared_ptr<const std::vector<Interaction>>> chunks;
     size_t base = 0;  // global index of chunks.front()
     std::vector<size_t> cursor(num_workers, 0);
     bool done = false;
-    bool abort = false;
-    std::vector<Status> worker_status(num_workers, Status::Ok());
+    size_t failed_chunk = kNoFailure;  // earliest chunk any shard failed on
+    std::vector<Failure> failures(num_workers);
 
     const auto worker_main = [&](size_t w) {
       obs::TraceSpan worker_span("replay.worker", "parallel");
       for (;;) {
         std::shared_ptr<const std::vector<Interaction>> chunk;
+        size_t index = 0;
         {
           std::unique_lock<std::mutex> lock(mu);
           {
@@ -268,78 +231,93 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
             // dwarfs parallel.shard_busy_ns.
             TINPROV_SCOPED_COUNTER_NS("parallel.worker_idle_ns");
             consumer_cv.wait(lock, [&] {
-              return abort || done || cursor[w] < base + chunks.size();
+              return done || cursor[w] > failed_chunk ||
+                     cursor[w] < base + chunks.size();
             });
           }
-          if (abort) return;
-          if (cursor[w] == base + chunks.size()) return;  // done and drained
-          chunk = chunks[cursor[w] - base];
-          ++cursor[w];
+          // Past the earliest failure, or done and drained.
+          if (cursor[w] > failed_chunk || cursor[w] == base + chunks.size()) {
+            return;
+          }
+          index = cursor[w]++;
+          chunk = chunks[index - base];
         }
         producer_cv.notify_one();
-        Status status = Status::Ok();
-        for (size_t s = w; s < num_shards && status.ok(); s += num_workers) {
-          status = feed(s, *chunk);
-        }
-        if (!status.ok()) {
+        for (size_t s = w; s < num_shards; s += num_workers) {
+          Status status = feed(s, *chunk);
+          if (status.ok()) continue;
           std::lock_guard<std::mutex> lock(mu);
-          worker_status[w] = std::move(status);
-          abort = true;
+          failures[w] = {index, s, std::move(status)};
+          failed_chunk = std::min(failed_chunk, index);
           producer_cv.notify_all();
           consumer_cv.notify_all();
           return;
         }
       }
     };
-    std::vector<std::function<void()>> worker_tasks;
-    worker_tasks.reserve(num_workers);
-    for (size_t w = 0; w < num_workers; ++w) {
-      worker_tasks.emplace_back([&worker_main, w] { worker_main(w); });
-    }
-    ResidentPool workers(std::move(worker_tasks));
-
     Status producer_status = Status::Ok();
-    std::vector<Interaction> scratch;
-    for (;;) {
-      const Status status = pull_chunk(&scratch);
-      if (!status.ok()) {
-        producer_status = status;
-        break;
-      }
-      if (scratch.empty()) break;
-      const bool exhausted = scratch.size() < chunk_capacity;
-      auto chunk = std::make_shared<const std::vector<Interaction>>(
-          std::move(scratch));
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        for (;;) {
-          while (!chunks.empty() &&
-                 *std::min_element(cursor.begin(), cursor.end()) > base) {
-            chunks.pop_front();
-            ++base;
-          }
-          if (abort || chunks.size() < max_chunks) break;
-          producer_cv.wait(lock);
-        }
-        if (abort) break;
-        chunks.push_back(std::move(chunk));
-        TINPROV_COUNTER_ADD("stream.chunks", 1);
-        TINPROV_GAUGE_SET("stream.queue_depth", chunks.size());
-        TINPROV_GAUGE_MAX("stream.queue_depth_peak", chunks.size());
-      }
-      consumer_cv.notify_all();
-      if (exhausted) break;
-    }
     {
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
+      std::vector<std::thread> workers;
+      // Ends the pipeline and joins the workers on every exit from this
+      // block, exceptions included: a destroyed joinable std::thread
+      // ends the program.
+      struct JoinOnExit {
+        std::function<void()> finish;
+        ~JoinOnExit() { finish(); }
+      } join_on_exit{[&] {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          done = true;
+        }
+        consumer_cv.notify_all();
+        for (std::thread& worker : workers) worker.join();
+      }};
+      workers.reserve(num_workers);
+      for (size_t w = 0; w < num_workers; ++w) {
+        workers.emplace_back(worker_main, w);
+      }
+
+      std::vector<Interaction> scratch;
+      for (;;) {
+        producer_status = pull_chunk(&scratch);
+        if (!producer_status.ok() || scratch.empty()) break;
+        const bool exhausted = scratch.size() < chunk_capacity;
+        auto chunk = std::make_shared<const std::vector<Interaction>>(
+            std::move(scratch));
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          for (;;) {
+            while (!chunks.empty() &&
+                   *std::min_element(cursor.begin(), cursor.end()) > base) {
+              chunks.pop_front();
+              ++base;
+            }
+            if (failed_chunk != kNoFailure ||
+                chunks.size() < kStreamQueueChunks) {
+              break;
+            }
+            producer_cv.wait(lock);
+          }
+          if (failed_chunk != kNoFailure) break;
+          chunks.push_back(std::move(chunk));
+          TINPROV_COUNTER_ADD("stream.chunks", 1);
+          TINPROV_GAUGE_SET("stream.queue_depth", chunks.size());
+          TINPROV_GAUGE_MAX("stream.queue_depth_peak", chunks.size());
+        }
+        consumer_cv.notify_all();
+        if (exhausted) break;
+      }
     }
-    consumer_cv.notify_all();
-    workers.Join();
+
+    // Shard errors precede a producer error in stream order: the
+    // producer only pulls past chunks it has already queued.
+    const Failure& first = *std::min_element(
+        failures.begin(), failures.end(),
+        [](const Failure& a, const Failure& b) {
+          return a.chunk != b.chunk ? a.chunk < b.chunk : a.shard < b.shard;
+        });
+    if (first.chunk != kNoFailure) return first.status;
     if (!producer_status.ok()) return producer_status;
-    for (const Status& status : worker_status) {
-      if (!status.ok()) return status;
-    }
   }
 #endif
 
@@ -398,14 +376,6 @@ StatusOr<ShardedReplayResult> ShardedReplayEngine::AssembleResult(
   return result;
 }
 
-StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayPrefix(
-    size_t prefix) const {
-  const Status status = RequireLog();
-  if (!status.ok()) return status;
-  MaterializedStream stream(*tin_, prefix);
-  return ReplayStream(stream);
-}
-
 StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayStream(
     InteractionStream& stream) const {
   size_t shards = 0;
@@ -416,33 +386,6 @@ StatusOr<ShardedReplayResult> ShardedReplayEngine::ReplayStream(
   auto executed = RunShardsStream(stream, shards);
   if (!executed.ok()) return executed.status();
   return AssembleResult(*executed, watch.ElapsedSeconds());
-}
-
-StatusOr<Buffer> ShardedReplayEngine::QueryPrefix(VertexId v,
-                                                  size_t prefix) const {
-  const Status status = RequireLog();
-  if (!status.ok()) return status;
-  if (v >= tin_->num_vertices()) {
-    return Status::InvalidArgument("query vertex " + std::to_string(v) +
-                                   " out of range");
-  }
-  MaterializedStream stream(*tin_, prefix);
-  size_t shards = 0;
-  if (!UsesShards(&shards)) {
-    auto replayed = SequentialStreamReplay(stream);
-    if (!replayed.ok()) return replayed.status();
-    return replayed->Provenance(v);
-  }
-  auto executed = RunShardsStream(stream, shards);
-  if (!executed.ok()) return executed.status();
-
-  // Single-vertex exchange: the same interleave as the adoption,
-  // restricted to v — per-query cost stays O(|list(v)|).
-  Buffer buffer;
-  buffer.total = executed->trackers[0]->BufferTotal(v);
-  std::vector<size_t> cursor;
-  InterleaveLabelSlices(executed->trackers, v, &buffer.entries, &cursor);
-  return buffer;
 }
 
 }  // namespace tinprov

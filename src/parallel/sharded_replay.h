@@ -30,14 +30,14 @@
 // decomposable here — unlike influence-cone slicing, every shard sees
 // every interaction, so its global reset counter advances identically.
 //
-// One shard runner serves every entry point: a single pass of an
+// The engine has one entry point, ReplayStream: a single pass of an
 // InteractionStream is broadcast to the shards chunk by chunk through a
 // bounded queue, each worker thread owning a fixed subset of the
-// shards. The materialized entry points (Replay, ReplayPrefix,
-// QueryPrefix) feed it a MaterializedStream over the log, and the
-// serve layer's Catchup feeds it the live backlog. Each shard tracker
-// owns its own arena-backed pool; no state is shared between workers
-// until the join.
+// shards. Callers holding a log pass a MaterializedStream over it (a
+// prefix-bounded one for historical replays); the serve layer's Catchup
+// passes the live backlog. Labels are assigned to shards round-robin.
+// Each shard tracker owns its own arena-backed pool; no state is shared
+// between workers until the join.
 #ifndef TINPROV_PARALLEL_SHARDED_REPLAY_H_
 #define TINPROV_PARALLEL_SHARDED_REPLAY_H_
 
@@ -48,46 +48,37 @@
 #include <vector>
 
 #include "core/buffer.h"
-#include "core/tin.h"
 #include "core/types.h"
 #include "policies/proportional_base.h"
 #include "policies/tracker.h"
-#include "scalable/grouped.h"
 #include "util/status.h"
 
 namespace tinprov {
 
 class InteractionStream;  // stream/interaction_stream.h
 
-/// How the generation-label space is partitioned into shards. These are
-/// exactly the GroupedTracker assignment strategies (scalable/grouped.h)
-/// applied to labels; kActivity balances per-shard list work via LPT
-/// when labels are vertices and falls back to round-robin otherwise.
-enum class ShardStrategy {
-  kRoundRobin,
-  kHash,
-  kContiguous,
-  kActivity,
-};
+/// std::thread::hardware_concurrency() with the zero-means-unknown case
+/// mapped to 1; always 1 under TINPROV_NO_THREADS.
+size_t HardwareThreads();
 
 struct ParallelParams {
-  /// Worker threads; 0 = std::thread::hardware_concurrency(). With
-  /// TINPROV_PARALLEL=OFF the shards all run inline on the caller.
+  /// Worker threads; 0 = HardwareThreads(). With TINPROV_PARALLEL=OFF
+  /// the shards all run inline on the caller.
   size_t num_threads = 0;
   /// Label shards; 0 = one per thread. More shards than threads is
   /// valid (worker w runs shards w, w + threads, ...); shard counts are
   /// clamped to the label-space size.
   size_t num_shards = 0;
-  ShardStrategy strategy = ShardStrategy::kActivity;
-  /// Interactions per broadcast chunk, and the bound on undrained
-  /// chunks the producer queue may hold. Each worker can additionally
-  /// pin one in-flight chunk it is processing after the queue popped
-  /// it, so total pipeline buffering is bounded by
-  /// (stream_queue_chunks + workers) * stream_chunk interactions — a
+  /// Interactions per broadcast chunk. The producer queue holds at most
+  /// kStreamQueueChunks undrained chunks and each worker can pin one
+  /// more it is processing, so total pipeline buffering is bounded by
+  /// (kStreamQueueChunks + workers) * stream_chunk interactions — a
   /// constant, independent of stream length.
   size_t stream_chunk = 4096;
-  size_t stream_queue_chunks = 8;
 };
+
+/// Bound on undrained chunks in the shard runner's broadcast queue.
+inline constexpr size_t kStreamQueueChunks = 8;
 
 /// Builds a fresh, identically configured pro-rata tracker; the engine
 /// applies the per-shard label restriction itself.
@@ -144,52 +135,22 @@ struct ShardedReplayResult {
 
 class ShardedReplayEngine {
  public:
-  /// `tin` must outlive the engine.
-  ShardedReplayEngine(const Tin& tin, ShardedSpec spec,
-                      ParallelParams params = {});
-
-  /// Tin-free streaming form for a dataset of shape `stats` (the shape
-  /// `spec` was built for; the shard trackers take it from the spec).
-  /// ReplayStream is the sole replay entry point — the materialized
-  /// ones below need a log to (re-)scan and return FailedPrecondition —
-  /// and the kActivity strategy falls back to round-robin, since
-  /// activity balancing needs a log to measure.
-  ShardedReplayEngine(const DatasetStats& stats, ShardedSpec spec,
-                      ParallelParams params = {});
-
-  /// Replays the whole log.
-  StatusOr<ShardedReplayResult> Replay() const;
+  explicit ShardedReplayEngine(ShardedSpec spec, ParallelParams params = {});
 
   /// Single-pass streaming replay: drains `stream` once, broadcasting
   /// fixed-size chunks to every shard through a bounded queue (the
   /// calling thread is the producer; shard workers consume each chunk
-  /// in order), then adopts the shards into one tracker. The log is
-  /// never materialized and pipeline buffering stays bounded by
-  /// (stream_queue_chunks + workers) chunks. Enforces non-decreasing
-  /// timestamps like StreamIngestor. Non-decomposable specs (or a
-  /// single shard) drain the stream through a sequential
-  /// StreamIngestor instead, same result.
+  /// in order), then adopts the shards into one tracker. Pipeline
+  /// buffering stays bounded by (kStreamQueueChunks + workers) chunks.
+  /// Enforces non-decreasing timestamps like StreamIngestor. A shard
+  /// error reports the earliest failing chunk's lowest failing shard,
+  /// whatever the thread count. Non-decomposable specs (or a single
+  /// shard) drain the stream through a sequential StreamIngestor
+  /// instead, same result.
   StatusOr<ShardedReplayResult> ReplayStream(InteractionStream& stream) const;
-
-  /// Replays the first min(prefix, log length) interactions — the
-  /// historical-prefix shape shared with the lazy engine.
-  StatusOr<ShardedReplayResult> ReplayPrefix(size_t prefix) const;
-
-  /// Single-vertex variant for per-query callers (the lazy engine):
-  /// replays the prefix exactly like ReplayPrefix but interleaves only
-  /// `v`'s shard slices, so the exchange cost is O(|list(v)|) instead
-  /// of O(total entries). Bit-identical to
-  /// ReplayPrefix(prefix)->Provenance(v).
-  StatusOr<Buffer> QueryPrefix(VertexId v, size_t prefix) const;
 
   /// Threads the engine will actually use.
   size_t ResolvedThreads() const;
-
-  /// label -> shard assignment for `strategy` (exposed for tests).
-  static std::vector<GroupId> AssignLabels(const Tin& tin,
-                                           ShardStrategy strategy,
-                                           size_t label_count,
-                                           size_t num_shards);
 
  private:
   // One executed parallel phase: the shard trackers plus the label
@@ -206,11 +167,11 @@ class ShardedReplayEngine {
   };
 
   /// True when this spec/params combination shards at all; false means
-  /// callers should take their sequential path.
+  /// ReplayStream takes its sequential path.
   bool UsesShards(size_t* num_shards) const;
-  /// Label partition + masks for `num_shards` (phase 0).
+  /// Round-robin label partition + masks for `num_shards` (phase 0).
   void PartitionLabels(ShardRun* run, size_t num_shards) const;
-  /// Phase 1: the one shard runner behind every entry point.
+  /// Phase 1: the shard runner.
   StatusOr<ShardRun> RunShardsStream(InteractionStream& stream,
                                      size_t num_shards) const;
   /// Phase 2 (exchange): adopts the shards into one tracker and fills
@@ -219,10 +180,7 @@ class ShardedReplayEngine {
                                                double replay_seconds) const;
   StatusOr<ShardedReplayResult> SequentialStreamReplay(
       InteractionStream& stream) const;
-  /// FailedPrecondition unless the engine was built over a log.
-  Status RequireLog() const;
 
-  const Tin* tin_;  // null in the streaming-only form
   ShardedSpec spec_;
   ParallelParams params_;
 };

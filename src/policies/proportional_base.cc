@@ -159,6 +159,13 @@ Status SparseProportionalBase::Process(const Interaction& interaction) {
   return Status::Ok();
 }
 
+namespace {
+
+/// Appends v's full provenance list, label-sorted, to `out`, built from
+/// label shards whose lists hold disjoint label slices (see
+/// RestrictLabels). A pure interleave by label — no arithmetic — so
+/// the result is deterministic and bit-identical to the unrestricted
+/// tracker's list. `cursor` is scratch, resized as needed.
 void InterleaveLabelSlices(
     const std::vector<std::unique_ptr<SparseProportionalBase>>& shards,
     VertexId v, std::vector<ProvPair>* out, std::vector<size_t>* cursor) {
@@ -184,6 +191,8 @@ void InterleaveLabelSlices(
     ++(*cursor)[best];
   }
 }
+
+}  // namespace
 
 Status SparseProportionalBase::AdoptLabelShards(
     const std::vector<std::unique_ptr<SparseProportionalBase>>& shards) {

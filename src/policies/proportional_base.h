@@ -52,17 +52,6 @@ void MergeScaled(SparseVector* dst, const SparseVector& src, double fraction);
 void MergeScaledInto(SparseVector* out, const SparseVector& a,
                      const SparseVector& b, double fraction);
 
-class SparseProportionalBase;
-
-/// Appends v's full provenance list, label-sorted, to `out`, built from
-/// label shards whose lists hold disjoint label slices (see
-/// RestrictLabels). A pure interleave by label — no arithmetic — so
-/// the result is deterministic and bit-identical to the unrestricted
-/// tracker's list. `cursor` is scratch, resized as needed.
-void InterleaveLabelSlices(
-    const std::vector<std::unique_ptr<SparseProportionalBase>>& shards,
-    VertexId v, std::vector<ProvPair>* out, std::vector<size_t>* cursor);
-
 class SparseProportionalBase : public Tracker {
  public:
   Status Process(const Interaction& interaction) final;
@@ -96,8 +85,8 @@ class SparseProportionalBase : public Tracker {
     label_mask_size_ = size;
   }
 
-  /// Read-only view of v's provenance list; InterleaveLabelSlices
-  /// merges these across label shards.
+  /// Read-only view of v's provenance list; AdoptLabelShards merges
+  /// these across label shards.
   const SparseVector& EntriesOf(VertexId v) const { return buffers_[v]; }
 
   /// Pre-sizes the pool for about `count` standing tuples.

@@ -1,8 +1,6 @@
 #include "scalable/grouped.h"
 
-#include <algorithm>
 #include <cassert>
-#include <queue>
 #include <utility>
 
 namespace tinprov {
@@ -13,15 +11,6 @@ size_t ClampGroups(size_t num_groups) {
   return num_groups == 0 ? 1 : num_groups;
 }
 
-// splitmix64 finaliser: a full-avalanche mix so consecutive ids spread
-// uniformly over the groups.
-uint64_t MixId(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 }  // namespace
 
 std::vector<GroupId> RoundRobinGroups(size_t num_vertices,
@@ -30,66 +19,6 @@ std::vector<GroupId> RoundRobinGroups(size_t num_vertices,
   std::vector<GroupId> groups(num_vertices);
   for (size_t v = 0; v < num_vertices; ++v) {
     groups[v] = static_cast<GroupId>(v % k);
-  }
-  return groups;
-}
-
-std::vector<GroupId> HashGroups(size_t num_vertices, size_t num_groups) {
-  const size_t k = ClampGroups(num_groups);
-  std::vector<GroupId> groups(num_vertices);
-  for (size_t v = 0; v < num_vertices; ++v) {
-    groups[v] = static_cast<GroupId>(MixId(v) % k);
-  }
-  return groups;
-}
-
-std::vector<GroupId> ContiguousGroups(size_t num_vertices,
-                                      size_t num_groups) {
-  const size_t k = ClampGroups(num_groups);
-  std::vector<GroupId> groups(num_vertices);
-  for (size_t v = 0; v < num_vertices; ++v) {
-    groups[v] = static_cast<GroupId>(static_cast<uint64_t>(v) * k /
-                                     num_vertices);
-  }
-  return groups;
-}
-
-std::vector<GroupId> ActivityGroups(const Tin& tin, size_t num_groups) {
-  const size_t k = ClampGroups(num_groups);
-  const size_t n = tin.num_vertices();
-  std::vector<uint64_t> activity(n, 0);
-  for (const Interaction& interaction : tin.interactions()) {
-    if (interaction.src < n) ++activity[interaction.src];
-    if (interaction.dst < n) ++activity[interaction.dst];
-  }
-
-  std::vector<VertexId> order(n);
-  for (VertexId v = 0; v < n; ++v) order[v] = v;
-  std::sort(order.begin(), order.end(),
-            [&activity](VertexId a, VertexId b) {
-              if (activity[a] != activity[b]) {
-                return activity[a] > activity[b];
-              }
-              return a < b;
-            });
-
-  // Min-heap of (load, group): each active vertex joins the lightest
-  // group. Inactive vertices carry no load, so LPT would pile them onto
-  // one group — spread them round-robin instead.
-  using Slot = std::pair<uint64_t, GroupId>;
-  std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> heap;
-  for (size_t g = 0; g < k; ++g) heap.push({0, static_cast<GroupId>(g)});
-  std::vector<GroupId> groups(n, 0);
-  size_t inactive_rank = 0;
-  for (const VertexId v : order) {
-    if (activity[v] == 0) {
-      groups[v] = static_cast<GroupId>(inactive_rank++ % k);
-      continue;
-    }
-    const Slot slot = heap.top();
-    heap.pop();
-    groups[v] = slot.second;
-    heap.push({slot.first + activity[v], slot.second});
   }
   return groups;
 }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/tin.h"
 #include "policies/proportional_base.h"
 
 namespace tinprov {
@@ -22,27 +21,10 @@ using GroupId = uint32_t;
 std::vector<GroupId> RoundRobinGroups(size_t num_vertices,
                                       size_t num_groups);
 
-/// Deterministic mixing hash of the id modulo k — round-robin's balance
-/// in expectation without its id-locality (neighbouring ids land in
-/// unrelated groups).
-std::vector<GroupId> HashGroups(size_t num_vertices, size_t num_groups);
-
-/// Equal-width contiguous id ranges: group ids are non-decreasing in v,
-/// preserving any locality the vertex numbering carries.
-std::vector<GroupId> ContiguousGroups(size_t num_vertices,
-                                      size_t num_groups);
-
-/// Balances total interaction activity (appearances as src or dst)
-/// instead of vertex counts: vertices join groups in decreasing
-/// activity order, each taking the currently least-loaded group (the
-/// LPT heuristic, so max load <= min load + the heaviest vertex).
-/// Inactive vertices are spread round-robin.
-std::vector<GroupId> ActivityGroups(const Tin& tin, size_t num_groups);
-
 class GroupedTracker : public SparseProportionalBase {
  public:
-  /// `groups` must assign every vertex a group id < num_groups (use one
-  /// of the assignment strategies above).
+  /// `groups` must assign every vertex a group id < num_groups (e.g.
+  /// RoundRobinGroups above).
   GroupedTracker(size_t num_vertices, std::vector<GroupId> groups,
                  size_t num_groups);
 

@@ -13,7 +13,6 @@
 #include "obs/recorder.h"
 #include "obs/slowlog.h"
 #include "obs/trace.h"
-#include "parallel/scheduler.h"
 #include "parallel/sharded_replay.h"
 #include "util/cpu.h"
 
@@ -395,7 +394,7 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
 
   auto sharded = TrackerRegistry::Global().Sharded(tracker_spec_, stats_);
   if (!sharded.ok()) return sharded.status();
-  ShardedReplayEngine engine(stats_, *std::move(sharded), options_.catchup);
+  ShardedReplayEngine engine(*std::move(sharded), options_.catchup);
   // The tee keeps the retained log covering the catchup range, so
   // historical delta replays work across it; the engine's producer runs
   // on this thread, which owns the writer-side state until Start().

@@ -32,13 +32,13 @@ Status StreamIngestor::IngestBatch(InteractionStream& stream, bool* done) {
   Stopwatch watch;
   if (!reserved_) {
     reserved_ = true;
-    if (options_.reserve_from_stats) tracker_->ReserveHint(stream.Stats());
+    tracker_->ReserveHint(stream.Stats());
   }
 
   batch_.clear();
   Interaction interaction;
   while (batch_.size() < options_.batch_size && stream.Next(&interaction)) {
-    if (options_.enforce_time_order && interaction.t < pull_watermark_) {
+    if (interaction.t < pull_watermark_) {
       return TimeOrderViolation(stats_.batches,
                                 stats_.interactions + batch_.size(),
                                 interaction.t, pull_watermark_);

@@ -1,26 +1,22 @@
 // Parallel-replay semantics: sharded replay must be indistinguishable —
 // bit for bit — from sequential replay, for every factory-constructible
-// tracker, every shard strategy, and the degenerate shapes (one thread,
-// more threads than shards, more shards than labels, empty datasets).
+// tracker and the degenerate shapes (one thread, more threads than
+// shards, more shards than labels, empty datasets).
 // The equality harness mirrors tests/test_lazy.cc: no tolerances
 // anywhere, the parallel engine promises the identical result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "analytics/experiment.h"
 #include "datagen/generator.h"
-#include "lazy/replay.h"
-#include "parallel/scheduler.h"
 #include "parallel/sharded_replay.h"
 #include "policies/tracker.h"
 #include "stream/ingest.h"
@@ -108,6 +104,15 @@ void ExpectSameTrackerState(const Tracker& expected, const Tracker& actual,
       << context << ": SaveState bytes differ";
 }
 
+// The engine's one entry point over a materialized log, or its first
+// `prefix` interactions.
+StatusOr<ShardedReplayResult> ReplayLog(
+    const ShardedReplayEngine& engine, const Tin& tin,
+    size_t prefix = std::numeric_limits<size_t>::max()) {
+  MaterializedStream stream(tin, prefix);
+  return engine.ReplayStream(stream);
+}
+
 // Replays `tin` sequentially through the named tracker and checks the
 // sharded result against it, vertex by vertex and byte for byte.
 void ExpectBitIdentical(const Tin& tin, const std::string& name,
@@ -120,8 +125,8 @@ void ExpectBitIdentical(const Tin& tin, const std::string& name,
 
   auto spec = TrackerRegistry::Global().Sharded({name, params}, tin);
   ASSERT_TRUE(spec.ok()) << context;
-  ShardedReplayEngine engine(tin, *std::move(spec), parallel);
-  auto result = engine.Replay();
+  ShardedReplayEngine engine(*std::move(spec), parallel);
+  auto result = ReplayLog(engine, tin);
   ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
 
   EXPECT_EQ(result->interactions_replayed, tin.num_interactions()) << context;
@@ -138,23 +143,16 @@ std::string SanitizeName(const ::testing::TestParamInfo<std::string>& info) {
 
 // ---------------------------------------------------------------------
 // (a) Sharded replay is bit-identical to sequential replay for every
-// factory name, across shard strategies and thread/shard shapes.
+// factory name, across thread/shard shapes.
 
 class ShardedReplayTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ShardedReplayTest, FourShardsMatchSequentialBitExactly) {
-  const Tin tin = GeneratedTin();
-  for (const ShardStrategy strategy :
-       {ShardStrategy::kRoundRobin, ShardStrategy::kHash,
-        ShardStrategy::kContiguous, ShardStrategy::kActivity}) {
-    ParallelParams parallel;
-    parallel.num_threads = 4;
-    parallel.num_shards = 4;
-    parallel.strategy = strategy;
-    ExpectBitIdentical(tin, GetParam(), parallel,
-                       GetParam() + "/strategy" +
-                           std::to_string(static_cast<int>(strategy)));
-  }
+  ParallelParams parallel;
+  parallel.num_threads = 4;
+  parallel.num_shards = 4;
+  ExpectBitIdentical(GeneratedTin(), GetParam(), parallel,
+                     GetParam() + "/4-shards");
 }
 
 TEST_P(ShardedReplayTest, OneThreadManyShardsMatches) {
@@ -182,8 +180,8 @@ TEST_P(ShardedReplayTest, EmptyDatasetYieldsEmptyState) {
   auto spec =
       TrackerRegistry::Global().Sharded({GetParam(), TestParams()}, tin);
   ASSERT_TRUE(spec.ok());
-  ShardedReplayEngine engine(tin, *std::move(spec), parallel);
-  auto result = engine.Replay();
+  ShardedReplayEngine engine(*std::move(spec), parallel);
+  auto result = ReplayLog(engine, tin);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->tracker->total_generated(), 0.0);
   for (VertexId v = 0; v < 5; ++v) {
@@ -209,8 +207,8 @@ TEST_P(ShardedReplayTest, PrefixReplayMatchesSequentialPrefix) {
   parallel.num_threads = 3;
   auto spec = TrackerRegistry::Global().Sharded({GetParam(), params}, tin);
   ASSERT_TRUE(spec.ok());
-  ShardedReplayEngine engine(tin, *std::move(spec), parallel);
-  auto result = engine.ReplayPrefix(prefix);
+  ShardedReplayEngine engine(*std::move(spec), parallel);
+  auto result = ReplayLog(engine, tin, prefix);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->interactions_replayed, prefix);
   ExpectSameTrackerState(*eager, *result->tracker, GetParam() + "/prefix");
@@ -225,9 +223,9 @@ TEST_P(ShardedReplayTest, RepeatedRunsAreDeterministic) {
   auto spec =
       TrackerRegistry::Global().Sharded({GetParam(), TestParams()}, tin);
   ASSERT_TRUE(spec.ok());
-  ShardedReplayEngine engine(tin, *std::move(spec), parallel);
-  auto first = engine.Replay();
-  auto second = engine.Replay();
+  ShardedReplayEngine engine(*std::move(spec), parallel);
+  auto first = ReplayLog(engine, tin);
+  auto second = ReplayLog(engine, tin);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   ExpectSameTrackerState(*first->tracker, *second->tracker,
@@ -250,8 +248,8 @@ TEST(ShardedReplayEngineTest, DecomposableNamesTakeTheParallelPath) {
     auto spec = TrackerRegistry::Global().Sharded({name, TestParams()}, tin);
     ASSERT_TRUE(spec.ok());
     EXPECT_TRUE(spec->decomposable) << name;
-    ShardedReplayEngine engine(tin, *std::move(spec), parallel);
-    auto result = engine.Replay();
+    ShardedReplayEngine engine(*std::move(spec), parallel);
+    auto result = ReplayLog(engine, tin);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->used_parallel_path) << name;
     EXPECT_GT(result->num_shards, 1u) << name;
@@ -268,8 +266,8 @@ TEST(ShardedReplayEngineTest, NonDecomposableNamesFallBackSequentially) {
     auto spec = TrackerRegistry::Global().Sharded({name, TestParams()}, tin);
     ASSERT_TRUE(spec.ok());
     EXPECT_FALSE(spec->decomposable) << name;
-    ShardedReplayEngine engine(tin, *std::move(spec), parallel);
-    auto result = engine.Replay();
+    ShardedReplayEngine engine(*std::move(spec), parallel);
+    auto result = ReplayLog(engine, tin);
     ASSERT_TRUE(result.ok()) << name;
     EXPECT_FALSE(result->used_parallel_path) << name;
     EXPECT_EQ(result->num_shards, 1u) << name;
@@ -287,8 +285,8 @@ TEST(ShardedReplayEngineTest, ShardCountClampsToLabelSpace) {
       TrackerRegistry::Global().Sharded({"Grouped", TestParams()}, tin);
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->label_count, 7u);
-  ShardedReplayEngine engine(tin, *std::move(spec), parallel);
-  auto result = engine.Replay();
+  ShardedReplayEngine engine(*std::move(spec), parallel);
+  auto result = ReplayLog(engine, tin);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_shards, 7u);
   ExpectBitIdentical(tin, "Grouped", parallel, "Grouped/clamped");
@@ -305,53 +303,9 @@ TEST(ShardedReplayEngineTest, HandBuiltTinAcrossShardCounts) {
   }
 }
 
-TEST(ShardedReplayEngineTest, AssignLabelsCoversEveryLabelOnce) {
-  const Tin tin = GeneratedTin();
-  for (const ShardStrategy strategy :
-       {ShardStrategy::kRoundRobin, ShardStrategy::kHash,
-        ShardStrategy::kContiguous, ShardStrategy::kActivity}) {
-    const auto groups = ShardedReplayEngine::AssignLabels(
-        tin, strategy, tin.num_vertices(), 4);
-    ASSERT_EQ(groups.size(), tin.num_vertices());
-    for (const GroupId g : groups) EXPECT_LT(g, 4u);
-  }
-}
-
 // ---------------------------------------------------------------------
-// (c) Wiring: the lazy engine's parallel mode and the measurement
-// harness return the same answers as their sequential counterparts.
-
-TEST(ParallelWiringTest, LazyEngineParallelMatchesSequential) {
-  const Tin tin = GeneratedTin();
-  const ScalableParams params = TestParams();
-  for (const char* name : {"Prop-sparse", "Grouped", "LIFO"}) {
-    auto factory = TrackerRegistry::Global().Factory({name, params}, tin);
-    ASSERT_TRUE(factory.ok());
-    LazyReplayEngine sequential(tin, *factory);
-    LazyReplayEngine parallel_engine(tin, *factory);
-    auto spec = TrackerRegistry::Global().Sharded({name, params}, tin);
-    ASSERT_TRUE(spec.ok());
-    ParallelParams parallel;
-    parallel.num_threads = 4;
-    parallel_engine.EnableParallel(*std::move(spec), parallel);
-
-    const VertexId v = 3;
-    auto expected_full = sequential.Provenance(v);
-    auto actual_full = parallel_engine.Provenance(v);
-    ASSERT_TRUE(expected_full.ok());
-    ASSERT_TRUE(actual_full.ok());
-    ExpectSameBuffer(*expected_full, *actual_full,
-                     std::string(name) + "/lazy-full");
-
-    const Timestamp t = tin.interactions()[tin.num_interactions() / 3].t;
-    auto expected_prefix = sequential.Provenance(v, t);
-    auto actual_prefix = parallel_engine.Provenance(v, t);
-    ASSERT_TRUE(expected_prefix.ok());
-    ASSERT_TRUE(actual_prefix.ok());
-    ExpectSameBuffer(*expected_prefix, *actual_prefix,
-                     std::string(name) + "/lazy-prefix");
-  }
-}
+// (c) Wiring: the measurement harness returns the same answers as its
+// sequential counterpart.
 
 TEST(ParallelWiringTest, MeasureTrackerParallelOptionRuns) {
   const Tin tin = GeneratedTin();
@@ -402,9 +356,8 @@ void ExpectIngestBitIdentical(const Tin& tin, const std::string& name,
   MaterializedStream reference_stream(tin);
   ASSERT_TRUE(ingestor.IngestAll(reference_stream).ok()) << context;
 
-  ShardedReplayEngine engine(tin.Stats(), *std::move(spec), parallel);
-  MaterializedStream stream(tin);
-  auto result = engine.ReplayStream(stream);
+  ShardedReplayEngine engine(*std::move(spec), parallel);
+  auto result = ReplayLog(engine, tin);
   ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
   EXPECT_EQ(result->used_parallel_path, expect_parallel_path) << context;
 
@@ -420,8 +373,7 @@ TEST_P(ShardedIngestTest, FourShardsMatchSequentialBitExactly) {
   ParallelParams parallel;
   parallel.num_threads = 4;
   parallel.num_shards = 4;
-  parallel.stream_chunk = 97;  // forces many partial chunks
-  parallel.stream_queue_chunks = 2;
+  parallel.stream_chunk = 97;  // 31 chunks: the queue of 8 wraps
   ExpectIngestBitIdentical(GeneratedTin(), GetParam(), parallel,
                            GetParam() + "/ingest-4-shards");
 }
@@ -458,9 +410,8 @@ TEST_P(ShardedIngestTest, RepeatedRunsAreDeterministic) {
     auto spec = TrackerRegistry::Global().Sharded(
         {GetParam(), TestParams(), TrackerMode::kStreaming}, tin.Stats());
     EXPECT_TRUE(spec.ok());
-    ShardedReplayEngine engine(tin.Stats(), *std::move(spec), parallel);
-    MaterializedStream stream(tin);
-    return engine.ReplayStream(stream);
+    ShardedReplayEngine engine(*std::move(spec), parallel);
+    return ReplayLog(engine, tin);
   };
   auto first = make_result();
   auto second = make_result();
@@ -503,8 +454,7 @@ TEST(ShardedIngestPathTest, EmptyStreamYieldsEmptyTracker) {
   ASSERT_TRUE(spec.ok());
   ParallelParams parallel;
   parallel.num_threads = 4;
-  ShardedReplayEngine engine(DatasetStats{12, 0}, *std::move(spec),
-                             parallel);
+  ShardedReplayEngine engine(*std::move(spec), parallel);
   VectorStream stream(12, {});
   auto result = engine.ReplayStream(stream);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -527,9 +477,8 @@ TEST(ShardedIngestPathTest, ShardInfoAccountsEveryLabelOnce) {
     ParallelParams parallel;
     parallel.num_threads = 4;
     parallel.num_shards = 4;
-    ShardedReplayEngine engine(tin.Stats(), *std::move(spec), parallel);
-    MaterializedStream stream(tin);
-    auto result = engine.ReplayStream(stream);
+    ShardedReplayEngine engine(*std::move(spec), parallel);
+    auto result = ReplayLog(engine, tin);
     ASSERT_TRUE(result.ok());
     ASSERT_TRUE(result->used_parallel_path) << name;
     ASSERT_EQ(result->shards.size(), result->num_shards) << name;
@@ -551,32 +500,44 @@ TEST(ShardedIngestPathTest, ShardInfoAccountsEveryLabelOnce) {
 }
 
 // ---------------------------------------------------------------------
-// (e) Thread plumbing.
+// (e) Thread plumbing: the hardware width, and the shard-worker error
+// path.
 
-TEST(SchedulerTest, HardwareThreadsIsPositive) {
+TEST(ShardWorkerTest, HardwareThreadsIsPositive) {
   EXPECT_GE(HardwareThreads(), 1u);
 }
 
-TEST(SchedulerTest, ResidentPoolRunsInterlockedTasks) {
-  // Two tasks that strictly alternate through atomics: only dedicated
-  // threads (not a shared pool) can run these to completion.
-  std::atomic<int> turn{0};
-  std::atomic<int> handoffs{0};
-  auto task = [&](int me) {
-    for (int round = 0; round < 50; ++round) {
-      while (turn.load(std::memory_order_acquire) != me) {
-        std::this_thread::yield();
-      }
-      handoffs.fetch_add(1, std::memory_order_relaxed);
-      turn.store(1 - me, std::memory_order_release);
-    }
-  };
-  std::vector<std::function<void()>> tasks;
-  tasks.emplace_back([&] { task(0); });
-  tasks.emplace_back([&] { task(1); });
-  ResidentPool pool(std::move(tasks));
-  pool.Join();
-  EXPECT_EQ(handoffs.load(), 100);
+TEST(ShardWorkerTest, ShardErrorStopsEveryThreadCountAlike) {
+  // An out-of-range source deep into the stream (chunk 87 of 625) fails
+  // every shard at the same interaction. The inline path reports shard
+  // 0; the threaded path must report the same error, whichever worker
+  // fails first, and must not hang on the workers it stops.
+  std::vector<Interaction> log;
+  for (size_t i = 0; i < 5000; ++i) {
+    log.push_back({static_cast<VertexId>(i % 5),
+                   static_cast<VertexId>((i + 1) % 5),
+                   static_cast<Timestamp>(i), 1.0});
+  }
+  log[700].src = 9;
+  auto spec = TrackerRegistry::Global().Sharded(
+      {"Prop-sparse", TestParams(), TrackerMode::kStreaming},
+      DatasetStats{5, log.size()});
+  ASSERT_TRUE(spec.ok());
+  for (const size_t threads : {size_t{1}, size_t{3}}) {
+    ParallelParams parallel;
+    parallel.num_threads = threads;
+    parallel.num_shards = 3;
+    parallel.stream_chunk = 8;
+    ShardedReplayEngine engine(*spec, parallel);
+    VectorStream stream(5, log);
+    const auto result = engine.ReplayStream(stream);
+    ASSERT_FALSE(result.ok()) << "threads " << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "threads " << threads;
+    EXPECT_EQ(result.status().message(),
+              "shard 0 stream replay: interaction references vertex beyond 5")
+        << "threads " << threads;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <cctype>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -317,67 +316,10 @@ TEST(GroupAssignmentTest, RoundRobinBalancesSizes) {
   EXPECT_LE(*max_it - *min_it, 1u);
 }
 
-TEST(GroupAssignmentTest, ContiguousGroupsAreIntervals) {
-  const std::vector<GroupId> groups = ContiguousGroups(100, 7);
-  ASSERT_EQ(groups.size(), 100u);
-  EXPECT_EQ(groups.front(), 0u);
-  EXPECT_EQ(groups.back(), 6u);
-  for (size_t v = 1; v < groups.size(); ++v) {
-    ASSERT_LT(groups[v], 7u);
-    EXPECT_GE(groups[v], groups[v - 1]);  // non-decreasing => intervals
-  }
-  std::vector<size_t> sizes(7, 0);
-  for (const GroupId g : groups) ++sizes[g];
-  const auto [min_it, max_it] = std::minmax_element(sizes.begin(),
-                                                    sizes.end());
-  EXPECT_LE(*max_it - *min_it, 1u);
-}
-
-TEST(GroupAssignmentTest, HashGroupsDeterministicAndInRange) {
-  const std::vector<GroupId> groups = HashGroups(1000, 7);
-  ASSERT_EQ(groups.size(), 1000u);
-  std::set<GroupId> used;
-  for (const GroupId g : groups) {
-    ASSERT_LT(g, 7u);
-    used.insert(g);
-  }
-  // A mixing hash spreads 1000 ids over 7 groups; determinism makes
-  // this assertion stable.
-  EXPECT_EQ(used.size(), 7u);
-  EXPECT_EQ(groups, HashGroups(1000, 7));
-}
-
-TEST(GroupAssignmentTest, ActivityGroupsBalanceLoadWithinHeaviestVertex) {
-  const Tin tin = GeneratedTin();
-  const size_t k = 4;
-  const std::vector<GroupId> groups = ActivityGroups(tin, k);
-  ASSERT_EQ(groups.size(), tin.num_vertices());
-  std::vector<uint64_t> activity(tin.num_vertices(), 0);
-  for (const Interaction& interaction : tin.interactions()) {
-    ++activity[interaction.src];
-    ++activity[interaction.dst];
-  }
-  std::vector<uint64_t> load(k, 0);
-  uint64_t heaviest = 0;
-  for (VertexId v = 0; v < tin.num_vertices(); ++v) {
-    ASSERT_LT(groups[v], k);
-    load[groups[v]] += activity[v];
-    heaviest = std::max(heaviest, activity[v]);
-  }
-  const auto [min_it, max_it] = std::minmax_element(load.begin(),
-                                                    load.end());
-  // The LPT guarantee: no group exceeds the lightest by more than one
-  // vertex's activity.
-  EXPECT_LE(*max_it - *min_it, heaviest);
-  EXPECT_GT(*min_it, 0u);
-}
-
 TEST(GroupAssignmentTest, ZeroGroupsClampToOne) {
-  for (const std::vector<GroupId>& groups :
-       {RoundRobinGroups(5, 0), HashGroups(5, 0), ContiguousGroups(5, 0)}) {
-    ASSERT_EQ(groups.size(), 5u);
-    for (const GroupId g : groups) EXPECT_EQ(g, 0u);
-  }
+  const std::vector<GroupId> groups = RoundRobinGroups(5, 0);
+  ASSERT_EQ(groups.size(), 5u);
+  for (const GroupId g : groups) EXPECT_EQ(g, 0u);
 }
 
 TEST(GroupedTest, BreakdownIsSparseBreakdownFoldedByGroup) {

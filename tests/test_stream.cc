@@ -5,7 +5,7 @@
 // every Table-6 preset; SortingStream across its reorder-window edge
 // cases (empty stream, window smaller than the disorder, the exact
 // boundary); the streaming time-travel build against Build(); and the
-// sharded engine's ReplayStream against materialized Replay().
+// sharded engine's ReplayStream against its sequential path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -475,7 +475,7 @@ TEST(StreamingTimeTravelTest, BuildsFromGeneratorStream) {
 }
 
 // ---------------------------------------------------------------------
-// (f) Sharded streaming replay == sharded materialized replay.
+// (f) Sharded streaming replay == sequential streaming replay.
 
 void ExpectSameResult(const ShardedReplayResult& expected,
                       const ShardedReplayResult& actual,
@@ -499,11 +499,23 @@ void ExpectSameResult(const ShardedReplayResult& expected,
 
 class ShardedStreamTest : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(ShardedStreamTest, StreamingMatchesMaterializedSharded) {
+// Replays `tin` through `spec` on one shard, i.e. the engine's
+// sequential path: the reference every sharded shape must reproduce.
+StatusOr<ShardedReplayResult> SequentialReplay(const ShardedSpec& spec,
+                                               const Tin& tin) {
+  ParallelParams sequential;
+  sequential.num_threads = 1;
+  sequential.num_shards = 1;
+  ShardedReplayEngine engine(spec, sequential);
+  MaterializedStream stream(tin);
+  return engine.ReplayStream(stream);
+}
+
+TEST_P(ShardedStreamTest, ShardedMatchesSequentialStream) {
   const Tin tin = GeneratedTin();
   const ScalableParams params = TestParams();
-  // One spec for both engines: the streaming form must reproduce the
-  // materialized engine bit-for-bit when fed the identical sequence.
+  // One spec for both runs: the sharded replay must reproduce the
+  // sequential one bit-for-bit when fed the identical sequence.
   auto spec = TrackerRegistry::Global().Sharded(
       {GetParam(), params, TrackerMode::kStreaming}, tin.Stats());
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
@@ -511,18 +523,17 @@ TEST_P(ShardedStreamTest, StreamingMatchesMaterializedSharded) {
   ParallelParams parallel;
   parallel.num_threads = 3;
   parallel.num_shards = 5;
-  parallel.stream_chunk = 97;  // forces many partial chunks
-  parallel.stream_queue_chunks = 2;
+  parallel.stream_chunk = 97;  // 31 chunks: the queue of 8 wraps
 
-  ShardedReplayEngine materialized(tin, *spec, parallel);
-  auto expected = materialized.Replay();
+  auto expected = SequentialReplay(*spec, tin);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  EXPECT_FALSE(expected->used_parallel_path);
 
-  ShardedReplayEngine streaming(tin.Stats(), *spec, parallel);
+  ShardedReplayEngine engine(*spec, parallel);
   MaterializedStream stream(tin);
-  auto actual = streaming.ReplayStream(stream);
+  auto actual = engine.ReplayStream(stream);
   ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-  EXPECT_EQ(expected->used_parallel_path, actual->used_parallel_path);
+  EXPECT_TRUE(actual->used_parallel_path);
   ExpectSameResult(*expected, *actual, GetParam());
 }
 
@@ -530,42 +541,6 @@ INSTANTIATE_TEST_SUITE_P(Decomposable, ShardedStreamTest,
                          ::testing::Values("Prop-sparse", "Windowed",
                                            "Selective", "Grouped"),
                          SanitizeName);
-
-TEST(ShardedStreamTest, HonorsLogFreeStrategies) {
-  // kHash and kContiguous need no log, so the Tin-free engine must
-  // apply them (only kActivity falls back to round-robin): shard label
-  // loads have to match the materialized engine's exactly.
-  const Tin tin = GeneratedTin();
-  const ScalableParams params = TestParams();
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"Prop-sparse", params, TrackerMode::kStreaming}, tin.Stats());
-  ASSERT_TRUE(spec.ok());
-  for (const ShardStrategy strategy :
-       {ShardStrategy::kHash, ShardStrategy::kContiguous}) {
-    ParallelParams parallel;
-    parallel.num_threads = 2;
-    parallel.num_shards = 4;
-    parallel.strategy = strategy;
-
-    ShardedReplayEngine materialized(tin, *spec, parallel);
-    auto expected = materialized.Replay();
-    ASSERT_TRUE(expected.ok());
-
-    ShardedReplayEngine streaming(tin.Stats(), *spec, parallel);
-    MaterializedStream stream(tin);
-    auto actual = streaming.ReplayStream(stream);
-    ASSERT_TRUE(actual.ok());
-    ASSERT_EQ(expected->shards.size(), actual->shards.size());
-    for (size_t s = 0; s < expected->shards.size(); ++s) {
-      EXPECT_EQ(expected->shards[s].labels, actual->shards[s].labels)
-          << "strategy " << static_cast<int>(strategy) << " shard " << s;
-      EXPECT_EQ(expected->shards[s].entries, actual->shards[s].entries)
-          << "strategy " << static_cast<int>(strategy) << " shard " << s;
-    }
-    ExpectSameResult(*expected, *actual,
-                     "strategy " + std::to_string(static_cast<int>(strategy)));
-  }
-}
 
 TEST(ShardedStreamTest, SequentialFallbackMatchesEager) {
   const Tin tin = GeneratedTin();
@@ -575,7 +550,7 @@ TEST(ShardedStreamTest, SequentialFallbackMatchesEager) {
   ASSERT_TRUE(spec.ok());
   ASSERT_FALSE(spec->decomposable);
 
-  ShardedReplayEngine engine(tin.Stats(), *spec, ParallelParams{});
+  ShardedReplayEngine engine(*spec, ParallelParams{});
   MaterializedStream stream(tin);
   auto result = engine.ReplayStream(stream);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -601,29 +576,15 @@ TEST(ShardedStreamTest, SingleWorkerInlinePathMatches) {
   parallel.num_shards = 4;
   parallel.stream_chunk = 64;
 
-  ShardedReplayEngine materialized(tin, *spec, parallel);
-  auto expected = materialized.Replay();
+  auto expected = SequentialReplay(*spec, tin);
   ASSERT_TRUE(expected.ok());
 
-  ShardedReplayEngine streaming(tin.Stats(), *spec, parallel);
+  ShardedReplayEngine engine(*spec, parallel);
   MaterializedStream stream(tin);
-  auto actual = streaming.ReplayStream(stream);
+  auto actual = engine.ReplayStream(stream);
   ASSERT_TRUE(actual.ok());
+  EXPECT_TRUE(actual->used_parallel_path);
   ExpectSameResult(*expected, *actual, "inline path");
-}
-
-TEST(ShardedStreamTest, StreamingEngineRejectsMaterializedEntryPoints) {
-  const Tin tin = GeneratedTin();
-  auto spec = TrackerRegistry::Global().Sharded(
-      {"Prop-sparse", TestParams(), TrackerMode::kStreaming}, tin.Stats());
-  ASSERT_TRUE(spec.ok());
-  ShardedReplayEngine engine(tin.Stats(), *spec, ParallelParams{});
-  EXPECT_EQ(engine.Replay().status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.ReplayPrefix(10).status().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.QueryPrefix(0, 10).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(ShardedStreamTest, RejectsOutOfOrderStream) {
@@ -655,7 +616,7 @@ TEST(ShardedStreamTest, RejectsOutOfOrderStream) {
     parallel.num_threads = threads;
     parallel.num_shards = 3;
     parallel.stream_chunk = 8;
-    ShardedReplayEngine engine(DatasetStats{5, 50}, *spec, parallel);
+    ShardedReplayEngine engine(*spec, parallel);
     VectorStream stream(5, disordered);
     const auto result = engine.ReplayStream(stream);
     ASSERT_FALSE(result.ok()) << "threads " << threads;
