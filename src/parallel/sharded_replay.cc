@@ -216,8 +216,7 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
     size_t base = 0;  // global index of chunks.front()
     std::vector<size_t> cursor(num_workers, 0);
     bool done = false;
-    size_t failed_chunk = kNoFailure;  // earliest chunk any shard failed on
-    std::vector<Failure> failures(num_workers);
+    Failure first;  // earliest (chunk, shard) failure seen so far
 
     const auto worker_main = [&](size_t w) {
       obs::TraceSpan worker_span("replay.worker", "parallel");
@@ -231,12 +230,12 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
             // dwarfs parallel.shard_busy_ns.
             TINPROV_SCOPED_COUNTER_NS("parallel.worker_idle_ns");
             consumer_cv.wait(lock, [&] {
-              return done || cursor[w] > failed_chunk ||
+              return done || cursor[w] > first.chunk ||
                      cursor[w] < base + chunks.size();
             });
           }
           // Past the earliest failure, or done and drained.
-          if (cursor[w] > failed_chunk || cursor[w] == base + chunks.size()) {
+          if (cursor[w] > first.chunk || cursor[w] == base + chunks.size()) {
             return;
           }
           index = cursor[w]++;
@@ -247,8 +246,10 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
           Status status = feed(s, *chunk);
           if (status.ok()) continue;
           std::lock_guard<std::mutex> lock(mu);
-          failures[w] = {index, s, std::move(status)};
-          failed_chunk = std::min(failed_chunk, index);
+          if (index < first.chunk ||
+              (index == first.chunk && s < first.shard)) {
+            first = {index, s, std::move(status)};
+          }
           producer_cv.notify_all();
           consumer_cv.notify_all();
           return;
@@ -292,13 +293,13 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
               chunks.pop_front();
               ++base;
             }
-            if (failed_chunk != kNoFailure ||
+            if (first.chunk != kNoFailure ||
                 chunks.size() < kStreamQueueChunks) {
               break;
             }
             producer_cv.wait(lock);
           }
-          if (failed_chunk != kNoFailure) break;
+          if (first.chunk != kNoFailure) break;
           chunks.push_back(std::move(chunk));
           TINPROV_COUNTER_ADD("stream.chunks", 1);
           TINPROV_GAUGE_SET("stream.queue_depth", chunks.size());
@@ -311,11 +312,6 @@ StatusOr<ShardedReplayEngine::ShardRun> ShardedReplayEngine::RunShardsStream(
 
     // Shard errors precede a producer error in stream order: the
     // producer only pulls past chunks it has already queued.
-    const Failure& first = *std::min_element(
-        failures.begin(), failures.end(),
-        [](const Failure& a, const Failure& b) {
-          return a.chunk != b.chunk ? a.chunk < b.chunk : a.shard < b.shard;
-        });
     if (first.chunk != kNoFailure) return first.status;
     if (!producer_status.ok()) return producer_status;
   }
