@@ -3,12 +3,21 @@
 // lazy". Eager pays per interaction and holds standing state; lazy pays per
 // query. The crossover depends on the query rate — reported here as the
 // break-even number of queries.
+//
+// Every lazy shape runs through one CheckpointedLog: full, prefix and
+// sliced replay over a log without checkpoints, time travel over one
+// Record()ed with periodic checkpoints. Outside the timed windows, each
+// sliced answer is checked against the full replay and each time-travel
+// answer against the prefix replay; any mismatch fails the run (exit 1).
+#include <cstdint>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "analytics/report.h"
 #include "bench_util.h"
-#include "lazy/replay.h"
-#include "lazy/time_travel.h"
+#include "lazy/checkpointed_log.h"
+#include "stream/interaction_stream.h"
 #include "util/memory.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
@@ -30,6 +39,55 @@ bool EnsureNonEmpty(const Tin& tin, DatasetKind kind, double scale) {
   return false;
 }
 
+// The log without checkpoints: every replay starts from a fresh tracker.
+CheckpointedLog PlainLog(const Tin& tin) {
+  CheckpointedLog log;
+  for (const Interaction& interaction : tin.interactions()) {
+    log.Append(interaction);
+  }
+  return log;
+}
+
+// Bit-exact: every lazy shape promises the identical answer.
+bool Verify(const char* what, const std::vector<Buffer>& expected,
+            const std::vector<Buffer>& actual) {
+  for (size_t i = 0; i < expected.size(); ++i) {
+    if (expected[i].total != actual[i].total ||
+        expected[i].entries != actual[i].entries) {
+      std::fprintf(stderr,
+                   "bench_lazy: %s answer %zu differs from the reference "
+                   "replay\n",
+                   what, i);
+      return false;
+    }
+  }
+  return true;
+}
+
+// Provenance(v) after Replay(log, prefix); false on a replay error.
+bool ReplayQuery(const CheckpointedLog& log, const TrackerFactory& factory,
+                 size_t prefix, VertexId v, std::vector<Buffer>* answers,
+                 size_t* replayed) {
+  size_t delta = 0;
+  auto tracker = log.Replay(factory, prefix, &delta);
+  if (!tracker.ok()) return false;
+  answers->push_back((*tracker)->Provenance(v));
+  *replayed += delta;
+  return true;
+}
+
+// ReplaySliced(log, prefix, v); false on a replay error.
+bool SlicedQuery(const CheckpointedLog& log, const TrackerFactory& factory,
+                 size_t prefix, VertexId v, std::vector<Buffer>* answers,
+                 size_t* replayed) {
+  size_t cone = 0;
+  auto buffer = log.ReplaySliced(factory, prefix, v, &cone);
+  if (!buffer.ok()) return false;
+  answers->push_back(*std::move(buffer));
+  *replayed += cone;
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -43,6 +101,9 @@ int main() {
        {DatasetKind::kBitcoin, DatasetKind::kCtu, DatasetKind::kProsper}) {
     const Tin tin = bench::MustMakeDataset(dataset, scale);
     if (!EnsureNonEmpty(tin, dataset, scale)) return 1;
+    const TrackerFactory factory = [n = tin.num_vertices()] {
+      return CreateTracker(PolicyKind::kFifo, n);
+    };
     Rng rng(11);
     std::vector<VertexId> query_vertices;
     for (size_t i = 0; i < kQueries; ++i) {
@@ -51,7 +112,7 @@ int main() {
     }
 
     // Eager: one replay, then queries are O(buffer).
-    auto eager = CreateTracker(PolicyKind::kFifo, tin.num_vertices());
+    auto eager = factory();
     Stopwatch watch;
     if (!eager->ProcessAll(tin).ok()) return 1;
     const double eager_build = watch.ElapsedSeconds();
@@ -64,21 +125,28 @@ int main() {
     const double eager_query = watch.ElapsedSeconds();
 
     // Lazy: no standing state; each query replays (full vs sliced).
-    LazyReplayEngine lazy(tin, PolicyKind::kFifo);
+    const CheckpointedLog log = PlainLog(tin);
+    std::vector<Buffer> full_answers;
+    std::vector<Buffer> sliced_answers;
     watch.Restart();
     size_t replayed_full = 0;
     for (const VertexId v : query_vertices) {
-      if (!lazy.Provenance(v).ok()) return 1;
-      replayed_full += lazy.last_stats().interactions_replayed;
+      if (!ReplayQuery(log, factory, log.size(), v, &full_answers,
+                       &replayed_full)) {
+        return 1;
+      }
     }
     const double lazy_full = watch.ElapsedSeconds();
     watch.Restart();
     size_t replayed_sliced = 0;
     for (const VertexId v : query_vertices) {
-      if (!lazy.ProvenanceSliced(v).ok()) return 1;
-      replayed_sliced += lazy.last_stats().interactions_replayed;
+      if (!SlicedQuery(log, factory, log.size(), v, &sliced_answers,
+                       &replayed_sliced)) {
+        return 1;
+      }
     }
     const double lazy_sliced = watch.ElapsedSeconds();
+    if (!Verify("sliced", full_answers, sliced_answers)) return 1;
 
     std::printf("\n%s network (%zu interactions, %zu queries):\n",
                 std::string(DatasetName(dataset)).c_str(),
@@ -106,12 +174,16 @@ int main() {
                   eager_build / per_lazy_query);
     }
   }
-  // Historical queries: the time-travel index (periodic snapshots + delta
-  // replay) vs full-prefix replay, probing random past times.
+  // Historical queries: the checkpointed log (periodic snapshots + delta
+  // replay, whole or sliced) vs full-prefix replay, probing random past
+  // times.
   std::printf("\nHistorical queries (FIFO, CTU-like, 20 random past times):\n");
   {
     const Tin tin = bench::MustMakeDataset(DatasetKind::kCtu, scale);
     if (!EnsureNonEmpty(tin, DatasetKind::kCtu, scale)) return 1;
+    const TrackerFactory factory = [n = tin.num_vertices()] {
+      return CreateTracker(PolicyKind::kFifo, n);
+    };
     const Timestamp end = tin.interactions().back().t;
     Rng rng(12);
     std::vector<std::pair<VertexId, Timestamp>> probes;
@@ -121,32 +193,81 @@ int main() {
           rng.NextDouble() * end);
     }
     TablePrinter table({"strategy", "build time", "query time",
-                        "standing memory"});
+                        "interactions replayed", "standing memory"});
     Stopwatch watch;
-    auto index = TimeTravelIndex::Build(tin, PolicyKind::kFifo,
-                                        tin.num_interactions() / 20 + 1);
+    MaterializedStream stream(tin);
+    auto index = CheckpointedLog::Record(factory, stream,
+                                         tin.num_interactions() / 20 + 1);
     const double index_build = watch.ElapsedSeconds();
     if (!index.ok()) return 1;
+    std::vector<Buffer> travel_answers;
+    std::vector<Buffer> sliced_answers;
+    std::vector<Buffer> prefix_answers;
+    size_t delta_full = 0;
     watch.Restart();
     for (const auto& [v, t] : probes) {
-      if (!(*index)->Provenance(v, t).ok()) return 1;
+      if (!ReplayQuery(*index, factory, index->UpperBound(t), v,
+                       &travel_answers, &delta_full)) {
+        return 1;
+      }
     }
     const double index_query = watch.ElapsedSeconds();
-    LazyReplayEngine lazy(tin, PolicyKind::kFifo);
+    size_t delta_sliced = 0;
     watch.Restart();
     for (const auto& [v, t] : probes) {
-      if (!lazy.Provenance(v, t).ok()) return 1;
+      if (!SlicedQuery(*index, factory, index->UpperBound(t), v,
+                       &sliced_answers, &delta_sliced)) {
+        return 1;
+      }
+    }
+    const double sliced_query = watch.ElapsedSeconds();
+    const CheckpointedLog log = PlainLog(tin);
+    size_t replayed_prefix = 0;
+    watch.Restart();
+    for (const auto& [v, t] : probes) {
+      if (!ReplayQuery(log, factory, log.UpperBound(t), v, &prefix_answers,
+                       &replayed_prefix)) {
+        return 1;
+      }
     }
     const double replay_query = watch.ElapsedSeconds();
+    if (!Verify("time-travel", prefix_answers, travel_answers) ||
+        !Verify("time-travel sliced", prefix_answers, sliced_answers)) {
+      return 1;
+    }
+    // At smoke scale most probed buffers are empty, so the answers alone
+    // can miss a bad restore: compare the whole state at every probe.
+    for (const auto& [v, t] : probes) {
+      auto travel = index->Replay(factory, index->UpperBound(t));
+      auto prefix = log.Replay(factory, log.UpperBound(t));
+      if (!travel.ok() || !prefix.ok()) return 1;
+      std::vector<uint8_t> travel_state;
+      std::vector<uint8_t> prefix_state;
+      (*travel)->SaveState(&travel_state);
+      (*prefix)->SaveState(&prefix_state);
+      if (travel_state != prefix_state) {
+        std::fprintf(stderr,
+                     "bench_lazy: time-travel state at t=%g differs from "
+                     "the prefix replay\n",
+                     t);
+        return 1;
+      }
+    }
     table.AddRow({"time-travel index", FormatSeconds(index_build),
-                  FormatSeconds(index_query),
-                  FormatBytes((*index)->MemoryUsage())});
+                  FormatSeconds(index_query), std::to_string(delta_full),
+                  FormatBytes(index->MemoryUsage())});
+    table.AddRow({"time-travel sliced", "(shared)",
+                  FormatSeconds(sliced_query), std::to_string(delta_sliced),
+                  "(shared)"});
     table.AddRow({"full-prefix replay", "0us", FormatSeconds(replay_query),
-                  "0B"});
+                  std::to_string(replayed_prefix), "0B"});
     std::printf("%s", table.ToString().c_str());
+    std::printf("sliced delta: %zu of %zu delta interactions replayed\n",
+                delta_sliced, delta_full);
     reporter.Record("CTU/FIFO/time_travel_build", index_build, 0.0,
-                    (*index)->MemoryUsage());
+                    index->MemoryUsage());
     reporter.Record("CTU/FIFO/time_travel_queries", index_query);
+    reporter.Record("CTU/FIFO/time_travel_sliced_queries", sliced_query);
     reporter.Record("CTU/FIFO/prefix_replay_queries", replay_query);
   }
 
@@ -154,6 +275,7 @@ int main() {
       "\nExpected shape: slicing replays a fraction of the stream (the "
       "query vertex's\ntemporal influence cone); eager amortizes its one-off "
       "build cost once queries\nare frequent; the time-travel index answers "
-      "historical queries in O(snapshot +\ndelta) instead of O(prefix).\n");
+      "historical queries in O(snapshot +\ndelta) instead of O(prefix), and "
+      "slicing the delta replays a fraction of it.\n");
   return 0;
 }

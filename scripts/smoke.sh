@@ -73,7 +73,10 @@ run_pinned 0.1 bench_selective_grouped
 run_pinned 0.1 bench_windowing
 run_pinned 0.1 bench_budget
 # bench_lazy's query cost is O(queries x stream) per strategy, so its
-# smoke scale stays pinned like the scalable sweeps above; its output
+# smoke scale stays pinned like the scalable sweeps above. It checks
+# every sliced answer against full replay and every time-travel answer
+# against prefix replay, exiting 1 on a mismatch, so this run gates the
+# CheckpointedLog replay shapes in every build configuration. Its output
 # additionally lands in TINPROV_LAZY_SMOKE_LOG when set.
 TINPROV_SCALE=0.1 run_logged "${TINPROV_LAZY_SMOKE_LOG:-}" bench_lazy
 # bench_parallel replays each preset once per thread count (and each

@@ -22,43 +22,11 @@ Tin::Tin(size_t num_vertices, std::vector<Interaction> interactions)
   }
 #endif
 
-  // Counting pass, then fill — the usual two-pass CSR build.
-  index_offsets_.assign(num_vertices_ + 1, 0);
-  for (const Interaction& interaction : interactions_) {
-    ++index_offsets_[interaction.src + 1];
-    if (interaction.dst != interaction.src) {
-      ++index_offsets_[interaction.dst + 1];
-    }
-  }
-  for (size_t v = 0; v < num_vertices_; ++v) {
-    index_offsets_[v + 1] += index_offsets_[v];
-  }
-  index_entries_.resize(index_offsets_[num_vertices_]);
-  std::vector<uint32_t> cursor(index_offsets_.begin(),
-                               index_offsets_.end() - 1);
-  for (size_t i = 0; i < interactions_.size(); ++i) {
-    const Interaction& interaction = interactions_[i];
-    index_entries_[cursor[interaction.src]++] = static_cast<uint32_t>(i);
-    if (interaction.dst != interaction.src) {
-      index_entries_[cursor[interaction.dst]++] = static_cast<uint32_t>(i);
-    }
-  }
   TINPROV_GAUGE_SET("memory.tin_bytes", MemoryUsage());
 }
 
-const uint32_t* Tin::VertexInteractions(VertexId v, size_t* count) const {
-  if (v >= num_vertices_) {
-    *count = 0;
-    return nullptr;
-  }
-  *count = index_offsets_[v + 1] - index_offsets_[v];
-  return index_entries_.data() + index_offsets_[v];
-}
-
 size_t Tin::MemoryUsage() const {
-  return interactions_.capacity() * sizeof(Interaction) +
-         index_offsets_.capacity() * sizeof(uint32_t) +
-         index_entries_.capacity() * sizeof(uint32_t);
+  return interactions_.capacity() * sizeof(Interaction);
 }
 
 TinStats Tin::ComputeStats() const {

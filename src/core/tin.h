@@ -1,5 +1,4 @@
-// The Tin container: an immutable, time-sorted interaction log plus a
-// per-vertex index over it.
+// The Tin container: an immutable, time-sorted interaction log.
 #ifndef TINPROV_CORE_TIN_H_
 #define TINPROV_CORE_TIN_H_
 
@@ -32,8 +31,7 @@ struct DatasetStats {
 
 /// An immutable temporal interaction network. Construction sorts the log
 /// by timestamp (stable, so simultaneous interactions keep their input
-/// order) and builds a CSR index from each vertex to the interactions
-/// that touch it, in time order.
+/// order).
 class Tin {
  public:
   Tin() = default;
@@ -49,12 +47,7 @@ class Tin {
     return interactions_;
   }
 
-  /// Indices (into interactions()) of the interactions where `v` is the
-  /// source or the destination, in time order. Self-loops appear once.
-  /// This is the slicing index used by replay-on-demand engines.
-  const uint32_t* VertexInteractions(VertexId v, size_t* count) const;
-
-  /// Bytes held by the log and the vertex index.
+  /// Bytes held by the log.
   size_t MemoryUsage() const;
 
   /// The pre-sizing shape of this log; O(1), unlike ComputeStats().
@@ -66,10 +59,6 @@ class Tin {
  private:
   size_t num_vertices_ = 0;
   std::vector<Interaction> interactions_;
-  // CSR layout: index_offsets_[v] .. index_offsets_[v+1] span
-  // index_entries_ with interaction indices touching v.
-  std::vector<uint32_t> index_offsets_;
-  std::vector<uint32_t> index_entries_;
 };
 
 }  // namespace tinprov

@@ -1,10 +1,16 @@
 // CheckpointedLog: the one "nearest snapshot + delta replay" history
-// behind TimeTravelIndex, the serve layer's Provenance(v, t) and crash
+// behind lazy replay-on-demand (paper Section 8 future work; Ariadne's
+// "replay lazy"), the serve layer's Provenance(v, t) and crash
 // recovery. It holds an append-only interaction log in fixed-capacity
 // chunks that never move, tracker SaveState images ("checkpoints")
-// keyed by the log prefix they were cut at, and Replay(), which is
-// bit-identical to a fresh tracker's Process() over a log prefix by the
-// SaveState/RestoreState resume contract.
+// keyed by the log prefix they were cut at, and two replay shapes over
+// one restore step:
+//   - Replay(): the tracker state after a log prefix — full replay at
+//     size(), a historical query at UpperBound(t);
+//   - ReplaySliced(): one vertex's buffer after a prefix, replaying
+//     only the delta interactions in its backward influence cone.
+// Both are bit-identical to a fresh tracker's Process() over the prefix
+// by the SaveState/RestoreState resume contract.
 //
 // Copies share chunks and images, so they are cheap, and each is a
 // snapshot: the original appending past a copy's size is invisible to
@@ -20,16 +26,31 @@
 #include <memory>
 #include <vector>
 
+#include "core/buffer.h"
 #include "core/types.h"
 #include "policies/tracker.h"
 #include "util/status.h"
 
 namespace tinprov {
 
+class InteractionStream;  // stream/interaction_stream.h
+
 class CheckpointedLog {
  public:
   /// A SaveState byte image, shared between copies of the log.
   using Image = std::shared_ptr<const std::vector<uint8_t>>;
+
+  /// Drains `stream` through one tracker from `factory`, logging every
+  /// interaction and checkpointing the tracker every `interval`
+  /// interactions (0 is treated as 1). Rejects a timestamp below its
+  /// predecessor's (wrap disordered sources in a SortingStream) and any
+  /// interaction the tracker rejects. Queries must use a factory that
+  /// builds identically configured trackers. Emits
+  /// timetravel.snapshots, timetravel.save_ns and
+  /// memory.timetravel_bytes.
+  static StatusOr<CheckpointedLog> Record(const TrackerFactory& factory,
+                                          InteractionStream& stream,
+                                          size_t interval);
 
   /// Appends one interaction. Callers keep timestamps non-decreasing;
   /// UpperBound() relies on it.
@@ -61,6 +82,13 @@ class CheckpointedLog {
   /// Bytes of checkpoint images.
   size_t checkpoint_bytes() const { return checkpoint_bytes_; }
 
+  /// Standing bytes: the log, the images and one prefix per checkpoint
+  /// (container headers excluded, as in Tracker::MemoryUsage()).
+  size_t MemoryUsage() const {
+    return log_bytes() + checkpoint_bytes_ +
+           checkpoints_.size() * sizeof(size_t);
+  }
+
   /// A tracker from `factory` holding the state after log[0, prefix):
   /// the nearest checkpoint at or below `prefix` restored (a fresh
   /// tracker when none is), then the delta replayed. `replayed`
@@ -70,6 +98,22 @@ class CheckpointedLog {
                                             size_t prefix,
                                             size_t* replayed = nullptr) const;
 
+  /// Provenance of `v` after log[0, prefix), replaying only v's
+  /// backward influence cone within the delta. The restore is
+  /// Replay()'s; then one reverse scan over the delta collects every
+  /// interaction whose destination is in the cone (pulling its source
+  /// in) or whose source alone is (an outflow reshapes the sender's
+  /// buffer), and the collected interactions replay in log order.
+  /// Exact for every PolicyKind and for Selective, Grouped and Budget,
+  /// whose behaviour at a vertex depends only on cone histories; NOT
+  /// for Windowed, whose global reset counter sees a different
+  /// interaction count under slicing — use Replay() there. `replayed`
+  /// (optional) receives the cone's interaction count. InvalidArgument
+  /// when `v`, or an endpoint in the delta, is outside the tracker's
+  /// vertex range. Emits lazy.cone_vertices and lazy.cone_interactions.
+  StatusOr<Buffer> ReplaySliced(const TrackerFactory& factory, size_t prefix,
+                                VertexId v, size_t* replayed = nullptr) const;
+
  private:
   /// Interactions per chunk.
   static constexpr size_t kChunkCapacity = 4096;
@@ -78,6 +122,13 @@ class CheckpointedLog {
     size_t prefix = 0;
     Image image;
   };
+
+  /// The restore step both replay shapes share: a tracker from
+  /// `factory` holding the nearest checkpoint at or below `prefix`
+  /// (fresh when none is); `start` receives that checkpoint's prefix.
+  StatusOr<std::unique_ptr<Tracker>> Restore(const TrackerFactory& factory,
+                                             size_t prefix,
+                                             size_t* start) const;
 
   std::vector<std::shared_ptr<Interaction[]>> chunks_;
   size_t size_ = 0;

@@ -115,7 +115,7 @@ class Tracker {
   /// its only contract is that RestoreState() on a tracker constructed
   /// with an identical configuration — same policy, same parameters,
   /// same vertex count — resumes replay bit-exactly where the snapshot
-  /// was taken. The lazy/ time-travel index builds on this.
+  /// was taken. The lazy/ CheckpointedLog builds on this.
   void SaveState(std::vector<uint8_t>* out) const;
 
   /// Restores state produced by SaveState(). Returns InvalidArgument on

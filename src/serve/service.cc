@@ -97,27 +97,21 @@ class ProvenanceService::LogSink : public InteractionStream {
 };
 
 StatusOr<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
-    const TrackerSpec& spec, const DatasetStats& stats, ServeOptions options) {
-  return CreateWithHistory(spec, stats, nullptr, options);
-}
-
-StatusOr<std::unique_ptr<ProvenanceService>>
-ProvenanceService::CreateWithHistory(
-    const TrackerSpec& spec, const DatasetStats& stats,
-    std::shared_ptr<const TimeTravelIndex> history, ServeOptions options) {
+    const TrackerSpec& spec, const DatasetStats& stats, ServeOptions options,
+    CheckpointedLog history) {
   auto factory = TrackerRegistry::Global().Factory(spec, stats);
   if (!factory.ok()) return factory.status();
   std::unique_ptr<ProvenanceService> service(
       new ProvenanceService(*std::move(factory), spec, stats, options));
   // The final state of the seeded history (log_), from the directory
-  // or the handoff index.
+  // or the handoff log.
   std::vector<uint8_t> handoff;
 
   if (options.durability.Enabled()) {
-    if (history != nullptr) {
+    if (!history.empty()) {
       return Status::InvalidArgument(
           "pass one source of pre-ingest history: a durable service "
-          "recovers it from its directory — drop the handoff index");
+          "recovers it from its directory — drop the handoff log");
     }
     storage::Env* env = options.durability.env != nullptr
                             ? options.durability.env
@@ -140,20 +134,12 @@ ProvenanceService::CreateWithHistory(
       service->resume_watermark_ = recovered->watermark;
       handoff = std::move(recovered->state);
     }
-  } else if (history != nullptr) {
-    if (!history->finalized()) {
-      return Status::FailedPrecondition(
-          "serve handoff needs a finalized time-travel index");
-    }
-    if (history->num_vertices() != stats.num_vertices) {
-      return Status::InvalidArgument(
-          "handoff index has " + std::to_string(history->num_vertices()) +
-          " vertices, service expects " + std::to_string(stats.num_vertices));
-    }
-    const Status status = history->SaveFinalState(&handoff);
-    if (!status.ok()) return status;
-    service->log_ = history->log();
-    service->resume_watermark_ = history->watermark();
+  } else if (!history.empty()) {
+    auto tracker = history.Replay(service->factory_, history.size());
+    if (!tracker.ok()) return tracker.status();
+    (*tracker)->SaveState(&handoff);
+    service->resume_watermark_ = history[history.size() - 1].t;
+    service->log_ = std::move(history);
   }
   service->prefix_base_ = service->log_.size();
   const Status status =
@@ -200,7 +186,7 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
     if (!status.ok()) {
       return Status(status.code(),
                     "restoring handoff state into the live tracker (is the "
-                    "spec configured like the index's trackers?): " +
+                    "spec configured like the history's trackers?): " +
                         status.message());
     }
   } else {
@@ -387,7 +373,7 @@ Status ProvenanceService::Catchup(std::unique_ptr<InteractionStream> stream) {
   }
   if (prefix_base_ != 0) {
     return Status::FailedPrecondition(
-        "catchup starts from empty state; a handoff index already carries "
+        "catchup starts from empty state; a handoff log already carries "
         "the history");
   }
   obs::TraceSpan span("serve.catchup", "serve");
@@ -539,7 +525,7 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
     result.status = Status::FailedPrecondition(
         "historical query at t=" + std::to_string(t) +
         " needs history retention (ServeOptions::retain_history) or a "
-        "handoff TimeTravelIndex");
+        "handoff log");
     return result;
   }
 

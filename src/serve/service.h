@@ -38,7 +38,7 @@
 //     snapshot + delta). For t beyond the watermark the answer is the
 //     epoch state — complete through the watermark, with EpochInfo
 //     reporting the gap.
-//   - A service seeded from a finalized TimeTravelIndex or a recovered
+//   - A service seeded from a handoff CheckpointedLog or a recovered
 //     directory starts its history with the seed's log and snapshots,
 //     and its live tracker from the seed's final state; epoch prefixes
 //     count from the start of that history, so one log answers every t.
@@ -59,7 +59,6 @@
 #include "core/tin.h"
 #include "core/types.h"
 #include "lazy/checkpointed_log.h"
-#include "lazy/time_travel.h"
 #include "parallel/sharded_replay.h"
 #include "serve/request_queue.h"
 #include "storage/durable_log.h"
@@ -161,23 +160,18 @@ struct ServeOptions {
 
 class ProvenanceService {
  public:
-  /// A service for `spec` over a dataset of shape `stats`, starting
-  /// from empty state. The spec must be TrackerMode::kStreaming — the
-  /// service only ever sees a stream.
+  /// A service for `spec` over a dataset of shape `stats`. The spec must
+  /// be TrackerMode::kStreaming — the service only ever sees a stream.
+  /// An empty `history` starts from empty state. A non-empty one (say,
+  /// CheckpointedLog::Record over the pre-ingest data) is a handoff:
+  /// the live tracker starts from the state at the end of the history
+  /// (Replay at its size()) and the service's history starts with its
+  /// log and checkpoints. Its checkpoints must come from trackers
+  /// configured like the spec's, or the restore fails. Durable services
+  /// refuse a handoff: their history is their directory.
   static StatusOr<std::unique_ptr<ProvenanceService>> Create(
       const TrackerSpec& spec, const DatasetStats& stats,
-      ServeOptions options = {});
-
-  /// As Create(), but seeded from a finalized TimeTravelIndex: the live
-  /// tracker restores the index's final state (SaveFinalState) and the
-  /// history starts with the index's log and snapshots. The factory
-  /// `spec` must build trackers configured identically to the index's
-  /// own, or the restore fails. Durable services refuse a handoff index:
-  /// their history is their directory.
-  static StatusOr<std::unique_ptr<ProvenanceService>> CreateWithHistory(
-      const TrackerSpec& spec, const DatasetStats& stats,
-      std::shared_ptr<const TimeTravelIndex> history,
-      ServeOptions options = {});
+      ServeOptions options = {}, CheckpointedLog history = {});
 
   /// Stops ingest (joins the writer) and the worker pool.
   ~ProvenanceService();

@@ -1,11 +1,12 @@
 // Flat binary serialization for tracker snapshots.
 //
-// The time-travel index checkpoints tracker state every N interactions
-// and restores it on historical queries, so the format optimizes for
-// write/restore speed over portability: little-endian host layout,
-// memcpy of trivially copyable values (padded tuple types go through
-// the field-wise helpers in core/buffer_io.h instead). Snapshots live
-// and die inside one process; they are not an interchange format.
+// The lazy layer's CheckpointedLog checkpoints tracker state every N
+// interactions and restores it on historical queries, so the format
+// optimizes for write/restore speed over portability: little-endian
+// host layout, memcpy of trivially copyable values (padded tuple types
+// go through the field-wise helpers in core/buffer_io.h instead).
+// Snapshots live and die inside one process; they are not an
+// interchange format.
 #ifndef TINPROV_UTIL_SERIALIZE_H_
 #define TINPROV_UTIL_SERIALIZE_H_
 

@@ -30,23 +30,6 @@ TEST(TinTest, StableSortKeepsSimultaneousOrder) {
   EXPECT_EQ(tin.interactions()[2].quantity, 30.0);
 }
 
-TEST(TinTest, VertexIndexCoversSourceAndDestination) {
-  std::vector<Interaction> log = {
-      {0, 1, 1.0, 1.0}, {1, 2, 2.0, 1.0}, {2, 2, 3.0, 1.0}};
-  const Tin tin(3, std::move(log));
-  size_t count = 0;
-  const uint32_t* entries = tin.VertexInteractions(1, &count);
-  ASSERT_EQ(count, 2u);  // receives at t=1, sends at t=2
-  EXPECT_EQ(entries[0], 0u);
-  EXPECT_EQ(entries[1], 1u);
-  // Self-loop appears once, not twice.
-  entries = tin.VertexInteractions(2, &count);
-  ASSERT_EQ(count, 2u);
-  // Out-of-range vertex yields an empty slice.
-  EXPECT_EQ(tin.VertexInteractions(99, &count), nullptr);
-  EXPECT_EQ(count, 0u);
-}
-
 TEST(TinTest, ComputeStats) {
   std::vector<Interaction> log = {
       {0, 1, 1.0, 2.0}, {0, 1, 2.0, 4.0}, {1, 1, 3.0, 6.0}};

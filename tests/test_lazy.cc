@@ -1,10 +1,11 @@
-// Lazy-layer semantics: replay-on-demand must be indistinguishable from
-// eager tracking. Full lazy replay is checked bit-exactly against every
-// factory-constructible tracker; sliced replay against full replay on
-// the query vertex; the time-travel index against full-prefix replay at
-// arbitrary historical times (snapshot boundaries and pre-history
-// included); and snapshot/restore must round-trip every policy's state
-// bit-exactly, byte-for-byte.
+// Lazy-layer semantics: replay-on-demand through CheckpointedLog must
+// be indistinguishable from eager tracking. Full replay is checked
+// bit-exactly against every factory-constructible tracker; sliced replay
+// against full replay on the query vertex, with and without
+// checkpoints; a Record()ed log against full-prefix replay at arbitrary
+// historical times (snapshot boundaries and pre-history included); and
+// snapshot/restore must round-trip every policy's state bit-exactly,
+// byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,9 +18,11 @@
 
 #include "analytics/experiment.h"
 #include "datagen/generator.h"
-#include "lazy/replay.h"
-#include "lazy/time_travel.h"
+#include "lazy/checkpointed_log.h"
+#include "obs/metrics.h"
 #include "policies/tracker.h"
+#include "stream/interaction_stream.h"
+#include "util/random.h"
 
 namespace tinprov {
 namespace {
@@ -92,20 +95,76 @@ std::unique_ptr<Tracker> EagerPrefix(const TrackerFactory& factory,
   return tracker;
 }
 
-std::vector<std::string> AllPolicyNames() {
-  std::vector<std::string> names;
-  for (const PolicyKind kind : AllPolicies()) {
-    names.emplace_back(PolicyName(kind));
-  }
-  return names;
-}
-
 bool NotAlnum(char c) { return !std::isalnum(static_cast<unsigned char>(c)); }
 
 std::string SanitizeName(const ::testing::TestParamInfo<std::string>& info) {
   std::string name = info.param;
   name.erase(std::remove_if(name.begin(), name.end(), NotAlnum), name.end());
   return name;
+}
+
+// Count of interactions with timestamp <= t: the prefix a query at t
+// replays.
+size_t PrefixAt(const Tin& tin, Timestamp t) {
+  const auto& log = tin.interactions();
+  return static_cast<size_t>(
+      std::upper_bound(log.begin(), log.end(), t,
+                       [](Timestamp time, const Interaction& x) {
+                         return time < x.t;
+                       }) -
+      log.begin());
+}
+
+// The log without checkpoints: every replay starts from a fresh tracker.
+CheckpointedLog PlainLog(const Tin& tin) {
+  CheckpointedLog log;
+  for (const Interaction& interaction : tin.interactions()) {
+    log.Append(interaction);
+  }
+  return log;
+}
+
+CheckpointedLog RecordedLog(const TrackerFactory& factory, const Tin& tin,
+                            size_t interval) {
+  MaterializedStream stream(tin);
+  auto log = CheckpointedLog::Record(factory, stream, interval);
+  EXPECT_TRUE(log.ok()) << log.status().ToString();
+  return log.ok() ? *std::move(log) : CheckpointedLog();
+}
+
+Buffer ReplayProvenance(const CheckpointedLog& log,
+                        const TrackerFactory& factory, size_t prefix,
+                        VertexId v, size_t* replayed = nullptr) {
+  auto tracker = log.Replay(factory, prefix, replayed);
+  EXPECT_TRUE(tracker.ok()) << tracker.status().ToString();
+  return tracker.ok() ? (*tracker)->Provenance(v) : Buffer();
+}
+
+TrackerFactory PolicyFactory(PolicyKind kind, size_t num_vertices) {
+  return [kind, num_vertices] { return CreateTracker(kind, num_vertices); };
+}
+
+// Every registry name whose trackers slice exactly: all but Windowed,
+// whose global reset counter sees a different interaction count under
+// slicing.
+std::vector<std::string> SliceableNames() {
+  std::vector<std::string> names = TrackerRegistry::Global().Names();
+  names.erase(std::remove(names.begin(), names.end(), "Windowed"),
+              names.end());
+  return names;
+}
+
+// One sliced query over the whole log; returns its cone's vertex count
+// as read off the lazy.cone_vertices histogram (0 when
+// TINPROV_METRICS=OFF compiles the observation out).
+uint64_t SlicedConeVertices(const CheckpointedLog& log,
+                            const TrackerFactory& factory, VertexId v,
+                            size_t* replayed) {
+  const obs::Histogram* histogram =
+      obs::MetricsRegistry::Global().GetHistogram("lazy.cone_vertices");
+  const uint64_t before = histogram->Sum();
+  EXPECT_TRUE(log.ReplaySliced(factory, log.size(), v, replayed).ok());
+  return histogram->Sum() - before;
 }
 
 // ---------------------------------------------------------------------
@@ -123,13 +182,14 @@ TEST_P(LazyFullReplayTest, MatchesEagerBitExactly) {
 
   auto factory = TrackerRegistry::Global().Factory({GetParam(), params}, tin);
   ASSERT_TRUE(factory.ok()) << factory.status().ToString();
-  LazyReplayEngine lazy(tin, *factory);
+  const CheckpointedLog log = PlainLog(tin);
   for (VertexId v = 0; v < tin.num_vertices(); v += 7) {
-    auto buffer = lazy.Provenance(v);
-    ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
-    ExpectSameBuffer((*eager)->Provenance(v), *buffer,
+    size_t replayed = 0;
+    const Buffer buffer =
+        ReplayProvenance(log, *factory, log.size(), v, &replayed);
+    ExpectSameBuffer((*eager)->Provenance(v), buffer,
                      GetParam() + " vertex " + std::to_string(v));
-    EXPECT_EQ(lazy.last_stats().interactions_replayed, tin.num_interactions());
+    EXPECT_EQ(replayed, tin.num_interactions());
   }
 }
 
@@ -139,133 +199,194 @@ INSTANTIATE_TEST_SUITE_P(AllFactoryNames, LazyFullReplayTest,
 
 // ---------------------------------------------------------------------
 // (b) Sliced replay equals full replay on the query vertex, replaying
-// at most as many interactions.
+// at most as many interactions: over the whole log without checkpoints,
+// and at random prefixes of a checkpointed log, where the slice covers
+// only the delta past the restored checkpoint.
 
 class SlicedReplayTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SlicedReplayTest, EqualsFullReplayOnQueryVertex) {
   const Tin tin = GeneratedTin();
-  auto kind = PolicyKindFromName(GetParam());
-  ASSERT_TRUE(kind.ok());
-  LazyReplayEngine lazy(tin, *kind);
+  auto factory =
+      TrackerRegistry::Global().Factory({GetParam(), TestParams()}, tin);
+  ASSERT_TRUE(factory.ok());
+  const CheckpointedLog log = PlainLog(tin);
   for (VertexId v = 0; v < tin.num_vertices(); v += 11) {
-    auto full = lazy.Provenance(v);
-    ASSERT_TRUE(full.ok()) << full.status().ToString();
-    const size_t full_count = lazy.last_stats().interactions_replayed;
-    auto sliced = lazy.ProvenanceSliced(v);
+    size_t full_count = 0;
+    const Buffer full =
+        ReplayProvenance(log, *factory, log.size(), v, &full_count);
+    size_t sliced_count = 0;
+    auto sliced = log.ReplaySliced(*factory, log.size(), v, &sliced_count);
     ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
-    ExpectSameBuffer(*full, *sliced,
+    ExpectSameBuffer(full, *sliced,
                      GetParam() + " vertex " + std::to_string(v));
-    EXPECT_LE(lazy.last_stats().interactions_replayed, full_count);
-    EXPECT_LE(lazy.last_stats().cone_vertices, tin.num_vertices());
-    EXPECT_GE(lazy.last_stats().cone_vertices, 1u);
+    EXPECT_LE(sliced_count, full_count);
   }
 }
 
-// Every PolicyKind name (the scalable trackers are covered separately:
-// sliced replay is exact for any tracker whose behaviour at a vertex
-// depends only on cone-vertex histories, which excludes Windowed's
-// global reset counter).
-INSTANTIATE_TEST_SUITE_P(PolicyNames, SlicedReplayTest,
-                         ::testing::ValuesIn(AllPolicyNames()), SanitizeName);
-
-TEST(SlicedReplayScalableTest, VertexLocalScalableTrackersAreExact) {
+TEST_P(SlicedReplayTest, MatchesReplayAtRandomCheckpointedPrefixes) {
   const Tin tin = GeneratedTin();
-  const ScalableParams params = TestParams();
-  const char* names[] = {"Selective", "Grouped", "Budget"};
-  for (const char* name : names) {
-    auto factory = TrackerRegistry::Global().Factory({name, params}, tin);
-    ASSERT_TRUE(factory.ok());
-    LazyReplayEngine lazy(tin, *factory);
-    for (VertexId v = 0; v < tin.num_vertices(); v += 13) {
-      auto full = lazy.Provenance(v);
-      ASSERT_TRUE(full.ok());
-      auto sliced = lazy.ProvenanceSliced(v);
-      ASSERT_TRUE(sliced.ok());
-      ExpectSameBuffer(*full, *sliced,
-                       std::string(name) + " vertex " + std::to_string(v));
-    }
+  auto factory =
+      TrackerRegistry::Global().Factory({GetParam(), TestParams()}, tin);
+  ASSERT_TRUE(factory.ok());
+  const CheckpointedLog log = RecordedLog(*factory, tin, 97);
+  ASSERT_EQ(log.num_checkpoints(), tin.num_interactions() / 97);
+  Rng rng(29);
+  for (int probe = 0; probe < 24; ++probe) {
+    const VertexId v =
+        static_cast<VertexId>(rng.NextBounded(tin.num_vertices()));
+    const size_t prefix = rng.NextBounded(log.size() + 1);
+    size_t delta = 0;
+    const Buffer expected = ReplayProvenance(log, *factory, prefix, v, &delta);
+    size_t cone = 0;
+    auto sliced = log.ReplaySliced(*factory, prefix, v, &cone);
+    ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+    ExpectSameBuffer(expected, *sliced,
+                     GetParam() + " prefix " + std::to_string(prefix) +
+                         " vertex " + std::to_string(v));
+    EXPECT_LE(cone, delta);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(SliceableNames, SlicedReplayTest,
+                         ::testing::ValuesIn(SliceableNames()), SanitizeName);
 
 TEST(InfluenceConeTest, HandTinConesAreExactAndMinimalityShows) {
   const Tin tin = HandTin();
-  size_t cone_vertices = 0;
+  const CheckpointedLog log = PlainLog(tin);
+  const TrackerFactory factory =
+      PolicyFactory(PolicyKind::kFifo, tin.num_vertices());
+  size_t replayed = 0;
   // Vertex 1 only ever sends: its cone is its single outflow.
-  std::vector<uint32_t> cone = BackwardInfluenceCone(tin, 1, &cone_vertices);
-  EXPECT_EQ(cone, (std::vector<uint32_t>{0}));
+  [[maybe_unused]] uint64_t cone_vertices =
+      SlicedConeVertices(log, factory, 1, &replayed);
+  EXPECT_EQ(replayed, 1u);
+#if defined(TINPROV_METRICS_ENABLED)
   EXPECT_EQ(cone_vertices, 1u);
+#endif
   // Vertex 0 receives from everyone, directly or transitively: the cone
   // is the whole log.
-  cone = BackwardInfluenceCone(tin, 0, &cone_vertices);
-  EXPECT_EQ(cone, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5}));
+  cone_vertices = SlicedConeVertices(log, factory, 0, &replayed);
+  EXPECT_EQ(replayed, 6u);
+#if defined(TINPROV_METRICS_ENABLED)
   EXPECT_EQ(cone_vertices, 5u);
-  // Out-of-range query vertices yield an empty cone.
-  cone = BackwardInfluenceCone(tin, 99, &cone_vertices);
-  EXPECT_TRUE(cone.empty());
-  EXPECT_EQ(cone_vertices, 0u);
+#endif
+  // Out-of-range query vertices are rejected.
+  EXPECT_EQ(log.ReplaySliced(factory, log.size(), 99).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(InfluenceConeTest, SlicedMatchesFullAtEveryHandTinVertex) {
   const Tin tin = HandTin();
+  const CheckpointedLog log = PlainLog(tin);
   for (const PolicyKind kind : AllPolicies()) {
-    LazyReplayEngine lazy(tin, kind);
+    const TrackerFactory factory = PolicyFactory(kind, tin.num_vertices());
     for (VertexId v = 0; v < tin.num_vertices(); ++v) {
-      auto full = lazy.Provenance(v);
-      ASSERT_TRUE(full.ok());
-      auto sliced = lazy.ProvenanceSliced(v);
+      auto sliced = log.ReplaySliced(factory, log.size(), v);
       ASSERT_TRUE(sliced.ok());
-      ExpectSameBuffer(*full, *sliced,
+      ExpectSameBuffer(ReplayProvenance(log, factory, log.size(), v), *sliced,
                        std::string(PolicyName(kind)) + " vertex " +
                            std::to_string(v));
     }
   }
 }
 
+// Equal timestamps: the cone is positional, so a transfer into vertex 1
+// at the same time as, but after, 1's send to the query vertex 2 stays
+// out. A cone bounded by time instead of position would take all four
+// interactions (and vertices 3 and 4) for the query vertex.
+TEST(InfluenceConeTest, EqualTimestampsKeepThePositionalConeExact) {
+  CheckpointedLog log;
+  log.Append({4, 3, 1.0, 2.0});
+  log.Append({0, 1, 1.0, 5.0});
+  log.Append({1, 2, 1.0, 3.0});
+  log.Append({3, 1, 1.0, 4.0});
+  for (const PolicyKind kind : AllPolicies()) {
+    const TrackerFactory factory = PolicyFactory(kind, 5);
+    size_t replayed = 0;
+    auto sliced = log.ReplaySliced(factory, log.size(), 2, &replayed);
+    ASSERT_TRUE(sliced.ok()) << sliced.status().ToString();
+    EXPECT_EQ(replayed, 2u) << PolicyName(kind);
+    ExpectSameBuffer(ReplayProvenance(log, factory, log.size(), 2), *sliced,
+                     std::string(PolicyName(kind)) + " vertex 2");
+    EXPECT_GT(sliced->total, 0.0);
+    for (VertexId v = 0; v < 5; ++v) {
+      auto other = log.ReplaySliced(factory, log.size(), v);
+      ASSERT_TRUE(other.ok());
+      ExpectSameBuffer(ReplayProvenance(log, factory, log.size(), v), *other,
+                       std::string(PolicyName(kind)) + " vertex " +
+                           std::to_string(v));
+    }
+  }
+}
+
+// The slice scan reads the log directly, so it range-checks the query
+// vertex and every delta endpoint against the tracker's vertex count
+// instead of indexing its cone bitmap out of bounds.
+TEST(InfluenceConeTest, RejectsOutOfRangeVerticesAndEndpoints) {
+  const Tin tin = HandTin();
+  const TrackerFactory factory =
+      PolicyFactory(PolicyKind::kFifo, tin.num_vertices());
+  for (const size_t interval : {size_t{2}, tin.num_interactions() * 2}) {
+    const CheckpointedLog log = RecordedLog(factory, tin, interval);
+    EXPECT_EQ(log.ReplaySliced(factory, log.size(), 99).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(
+        log.ReplaySliced(factory, log.UpperBound(3.0), 5).status().code(),
+        StatusCode::kInvalidArgument);
+  }
+
+  CheckpointedLog bad = PlainLog(tin);
+  bad.Append({0, 7, 7.0, 1.0});  // dst >= n
+  EXPECT_EQ(bad.ReplaySliced(factory, bad.size(), 0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.Replay(factory, bad.size()).status().code(),
+            StatusCode::kInvalidArgument);
+  CheckpointedLog bad_src = PlainLog(tin);
+  bad_src.Append({9, 0, 7.0, 1.0});  // src >= n
+  EXPECT_EQ(bad_src.ReplaySliced(factory, bad_src.size(), 0).status().code(),
+            StatusCode::kInvalidArgument);
+  // Below the bad interaction the log is still fine.
+  EXPECT_TRUE(bad.ReplaySliced(factory, bad.size() - 1, 0).ok());
+}
+
 // ---------------------------------------------------------------------
-// Historical prefix queries on the engine itself.
+// Historical prefix queries over the log without checkpoints.
 
 TEST(LazyPrefixTest, HistoricalQueryEqualsEagerPrefixReplay) {
   const Tin tin = GeneratedTin();
-  const TrackerFactory factory = [n = tin.num_vertices()] {
-    return CreateTracker(PolicyKind::kFifo, n);
-  };
-  LazyReplayEngine lazy(tin, factory);
+  const TrackerFactory factory =
+      PolicyFactory(PolicyKind::kFifo, tin.num_vertices());
+  const CheckpointedLog plain = PlainLog(tin);
   const auto& log = tin.interactions();
   for (const size_t prefix :
        {size_t{0}, size_t{1}, log.size() / 3, log.size() - 1, log.size()}) {
     const Timestamp t = prefix == 0 ? log.front().t - 1.0 : log[prefix - 1].t;
-    const size_t expected_prefix = PrefixLength(tin, t);
+    const size_t expected_prefix = PrefixAt(tin, t);
+    EXPECT_EQ(plain.UpperBound(t), expected_prefix);
     const auto eager = EagerPrefix(factory, tin, expected_prefix);
     for (const VertexId v : {VertexId{0}, VertexId{17}, VertexId{59}}) {
-      auto buffer = lazy.Provenance(v, t);
-      ASSERT_TRUE(buffer.ok());
-      ExpectSameBuffer(eager->Provenance(v), *buffer,
+      size_t replayed = 0;
+      const Buffer buffer =
+          ReplayProvenance(plain, factory, plain.UpperBound(t), v, &replayed);
+      ExpectSameBuffer(eager->Provenance(v), buffer,
                        "prefix " + std::to_string(expected_prefix) +
                            " vertex " + std::to_string(v));
-      EXPECT_EQ(lazy.last_stats().interactions_replayed, expected_prefix);
+      EXPECT_EQ(replayed, expected_prefix);
     }
   }
 }
 
 TEST(LazyPrefixTest, TimeBeforeFirstInteractionYieldsEmptyBuffer) {
   const Tin tin = HandTin();
-  LazyReplayEngine lazy(tin, PolicyKind::kLifo);
-  auto buffer = lazy.Provenance(0, 0.5);
-  ASSERT_TRUE(buffer.ok());
-  EXPECT_EQ(buffer->total, 0.0);
-  EXPECT_TRUE(buffer->entries.empty());
-  EXPECT_EQ(lazy.last_stats().interactions_replayed, 0u);
-}
-
-TEST(LazyEngineTest, RejectsOutOfRangeVertices) {
-  const Tin tin = HandTin();
-  LazyReplayEngine lazy(tin, PolicyKind::kFifo);
-  EXPECT_EQ(lazy.Provenance(99).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(lazy.Provenance(99, 3.0).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(lazy.ProvenanceSliced(99).status().code(),
-            StatusCode::kInvalidArgument);
+  const CheckpointedLog log = PlainLog(tin);
+  size_t replayed = 0;
+  const Buffer buffer =
+      ReplayProvenance(log, PolicyFactory(PolicyKind::kLifo, 5),
+                       log.UpperBound(0.5), 0, &replayed);
+  EXPECT_EQ(buffer.total, 0.0);
+  EXPECT_TRUE(buffer.entries.empty());
+  EXPECT_EQ(replayed, 0u);
 }
 
 TEST(LazyEngineTest, FactoryBuildsIndependentTrackers) {
@@ -284,7 +405,7 @@ TEST(LazyEngineTest, FactoryBuildsIndependentTrackers) {
 }
 
 // ---------------------------------------------------------------------
-// (c) The time-travel index answers at arbitrary t identically to
+// (c) A Record()ed log answers at arbitrary t identically to
 // full-prefix replay, for every factory name.
 
 class TimeTravelTest : public ::testing::TestWithParam<std::string> {};
@@ -295,10 +416,9 @@ TEST_P(TimeTravelTest, MatchesFullPrefixReplayEverywhere) {
   auto factory = TrackerRegistry::Global().Factory({GetParam(), params}, tin);
   ASSERT_TRUE(factory.ok());
   const size_t interval = 97;  // prime: boundaries align with nothing
-  auto index = TimeTravelIndex::Build(tin, *factory, interval);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_EQ((*index)->num_snapshots(), tin.num_interactions() / interval);
-  EXPECT_GT((*index)->MemoryUsage(), 0u);
+  const CheckpointedLog index = RecordedLog(*factory, tin, interval);
+  EXPECT_EQ(index.num_checkpoints(), tin.num_interactions() / interval);
+  EXPECT_GT(index.MemoryUsage(), 0u);
 
   // Probe before history (empty state), the first interaction, an exact
   // snapshot boundary, one past a boundary, mid-stream, the full
@@ -309,12 +429,12 @@ TEST_P(TimeTravelTest, MatchesFullPrefixReplayEverywhere) {
       log[3 * interval].t, log[log.size() / 2].t, log.back().t,
       log.back().t + 1.0};
   for (const Timestamp t : probes) {
-    const size_t prefix = PrefixLength(tin, t);
+    const size_t prefix = PrefixAt(tin, t);
     const auto eager = EagerPrefix(*factory, tin, prefix);
     for (const VertexId v : {VertexId{0}, VertexId{23}, VertexId{59}}) {
-      auto buffer = (*index)->Provenance(v, t);
-      ASSERT_TRUE(buffer.ok()) << buffer.status().ToString();
-      ExpectSameBuffer(eager->Provenance(v), *buffer,
+      const Buffer buffer =
+          ReplayProvenance(index, *factory, index.UpperBound(t), v);
+      ExpectSameBuffer(eager->Provenance(v), buffer,
                        GetParam() + " t=" + std::to_string(t) + " vertex " +
                            std::to_string(v));
     }
@@ -327,34 +447,25 @@ INSTANTIATE_TEST_SUITE_P(AllFactoryNames, TimeTravelTest,
 
 TEST(TimeTravelEdgeTest, ZeroIntervalClampsToOne) {
   const Tin tin = HandTin();
-  auto index = TimeTravelIndex::Build(tin, PolicyKind::kFifo, 0);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ((*index)->snapshot_interval(), 1u);
-  EXPECT_EQ((*index)->num_snapshots(), tin.num_interactions());
+  const CheckpointedLog index =
+      RecordedLog(PolicyFactory(PolicyKind::kFifo, 5), tin, 0);
+  EXPECT_EQ(index.size(), tin.num_interactions());
+  EXPECT_EQ(index.num_checkpoints(), tin.num_interactions());
 }
 
 TEST(TimeTravelEdgeTest, IntervalBeyondStreamStillAnswersCorrectly) {
   const Tin tin = HandTin();
-  auto index = TimeTravelIndex::Build(tin, PolicyKind::kMrb,
-                                      tin.num_interactions() * 2);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ((*index)->num_snapshots(), 0u);
-  LazyReplayEngine lazy(tin, PolicyKind::kMrb);
+  const TrackerFactory factory = PolicyFactory(PolicyKind::kMrb, 5);
+  const CheckpointedLog index =
+      RecordedLog(factory, tin, tin.num_interactions() * 2);
+  EXPECT_EQ(index.num_checkpoints(), 0u);
+  const CheckpointedLog plain = PlainLog(tin);
   for (VertexId v = 0; v < tin.num_vertices(); ++v) {
-    auto expected = lazy.Provenance(v, 4.0);
-    auto actual = (*index)->Provenance(v, 4.0);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(actual.ok());
-    ExpectSameBuffer(*expected, *actual, "vertex " + std::to_string(v));
+    ExpectSameBuffer(
+        ReplayProvenance(plain, factory, plain.UpperBound(4.0), v),
+        ReplayProvenance(index, factory, index.UpperBound(4.0), v),
+        "vertex " + std::to_string(v));
   }
-}
-
-TEST(TimeTravelEdgeTest, RejectsOutOfRangeVertices) {
-  const Tin tin = HandTin();
-  auto index = TimeTravelIndex::Build(tin, PolicyKind::kFifo, 2);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ((*index)->Provenance(99, 3.0).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,7 @@
 // replaying exactly that prefix through an identically configured
 // tracker must reproduce the answer bit-exactly — while the writer was
 // publishing, under concurrent readers, across epoch-ring wraparound,
-// and across the handoff boundary of a seeding TimeTravelIndex.
+// and across the handoff boundary of a seeding CheckpointedLog.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +19,7 @@
 
 #include "analytics/registry.h"
 #include "datagen/generator.h"
-#include "lazy/replay.h"
-#include "lazy/time_travel.h"
+#include "lazy/checkpointed_log.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
@@ -98,6 +97,31 @@ std::unique_ptr<Tracker> ReferencePrefix(const TrackerSpec& spec,
     EXPECT_TRUE(tracker->Process(log[i]).ok());
   }
   return tracker;
+}
+
+// Count of interactions with timestamp <= t: the prefix a query at t
+// replays.
+size_t PrefixAt(const Tin& tin, Timestamp t) {
+  const auto& log = tin.interactions();
+  return static_cast<size_t>(
+      std::upper_bound(log.begin(), log.end(), t,
+                       [](Timestamp time, const Interaction& x) {
+                         return time < x.t;
+                       }) -
+      log.begin());
+}
+
+// A handoff history: `factory`'s trackers recorded over the log's first
+// `split` interactions, checkpointed every `interval`.
+CheckpointedLog RecordHead(const TrackerFactory& factory, const Tin& tin,
+                           size_t split, size_t interval) {
+  VectorStream head(tin.num_vertices(),
+                    std::vector<Interaction>(tin.interactions().begin(),
+                                             tin.interactions().begin() +
+                                                 split));
+  auto log = CheckpointedLog::Record(factory, head, interval);
+  EXPECT_TRUE(log.ok()) << log.status().ToString();
+  return log.ok() ? *std::move(log) : CheckpointedLog();
 }
 
 std::string SanitizeName(const ::testing::TestParamInfo<std::string>& info) {
@@ -282,7 +306,7 @@ TEST(ServeHistoryTest, RingWraparoundStillAnswersExactly) {
       log.front().t - 1.0, log.front().t, log[150].t, log[1234].t,
       log[2500].t,         log.back().t,  log.back().t + 5.0};
   for (const Timestamp t : probes) {
-    const size_t prefix = PrefixLength(tin, t);
+    const size_t prefix = PrefixAt(tin, t);
     const auto reference = ReferencePrefix(spec, tin, prefix);
     for (const VertexId v : {VertexId{0}, VertexId{17}, VertexId{59}}) {
       QueryResult result = (*service)->Provenance(v, t);
@@ -317,7 +341,7 @@ TEST(ServeHistoryTest, RetentionOffBoundsHistoricalReach) {
 }
 
 // ---------------------------------------------------------------------
-// (d) Handoff from a finalized TimeTravelIndex: queries before, at, and
+// (d) Handoff from a recorded CheckpointedLog: queries before, at, and
 // after the handoff watermark all equal full-replay references, and the
 // two regimes meet bit-exactly at the boundary.
 
@@ -329,20 +353,14 @@ TEST(ServeHistoryTest, HandoffBoundaryMatchesFullReplay) {
 
   const size_t split = tin.num_interactions() / 2;
   const auto& log = tin.interactions();
-  auto index =
-      TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, 97);
-  ASSERT_TRUE(index.ok());
-  for (size_t i = 0; i < split; ++i) {
-    ASSERT_TRUE((*index)->Observe(log[i]).ok());
-  }
-  ASSERT_TRUE((*index)->Finalize().ok());
-  std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
-  const Timestamp handoff = history->watermark();
+  const CheckpointedLog history = RecordHead(*factory, tin, split, 97);
+  ASSERT_EQ(history.size(), split);
+  const Timestamp handoff = history[history.size() - 1].t;
 
   ServeOptions options;
   options.epoch_interval = 300;
-  auto service = ProvenanceService::CreateWithHistory(spec, tin.Stats(),
-                                                      history, options);
+  auto service =
+      ProvenanceService::Create(spec, tin.Stats(), options, history);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   // Epoch 0 is the handoff state itself.
   EXPECT_EQ((*service)->LatestEpoch().watermark, handoff);
@@ -359,7 +377,7 @@ TEST(ServeHistoryTest, HandoffBoundaryMatchesFullReplay) {
       log.front().t,       log[split / 2].t, handoff - 1e-9,
       handoff,             log[split + 10].t, log.back().t};
   for (const Timestamp t : probes) {
-    const size_t prefix = PrefixLength(tin, t);
+    const size_t prefix = PrefixAt(tin, t);
     const auto reference = ReferencePrefix(spec, tin, prefix);
     for (const VertexId v : {VertexId{3}, VertexId{21}, VertexId{42}}) {
       QueryResult result = (*service)->Provenance(v, t);
@@ -381,7 +399,7 @@ TEST(ServeHistoryTest, HandoffBoundaryMatchesFullReplay) {
 
 // ---------------------------------------------------------------------
 // (d1) The handoff seeds one global history: epoch prefixes continue
-// from the index's, the seeded log and snapshots are on the service's
+// from the history's, the seeded log and snapshots are on the service's
 // memory bill, and every snapshot prefix ±1 on both sides of the seam
 // (plus the handoff watermark) answers like a clean prefix replay.
 
@@ -394,33 +412,26 @@ TEST(ServeHistoryTest, HandoffSeedsOneGlobalHistory) {
   const auto& log = tin.interactions();
   const size_t split = tin.num_interactions() / 2;
   const size_t interval = 97;
-  auto index =
-      TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, interval);
-  ASSERT_TRUE(index.ok());
-  for (size_t i = 0; i < split; ++i) {
-    ASSERT_TRUE((*index)->Observe(log[i]).ok());
-  }
-  ASSERT_TRUE((*index)->Finalize().ok());
-  std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
+  const CheckpointedLog history = RecordHead(*factory, tin, split, interval);
 
   ServeOptions options;
   options.epoch_interval = 300;
-  auto service = ProvenanceService::CreateWithHistory(spec, tin.Stats(),
-                                                      history, options);
+  auto service =
+      ProvenanceService::Create(spec, tin.Stats(), options, history);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   EXPECT_EQ((*service)->LatestEpoch().prefix, split);
 #if defined(TINPROV_METRICS_ENABLED)
-  // The seeded history is counted: the index's log, its snapshots, and
+  // The seeded history is counted: its log, its snapshots, and
   // at most the handoff image on top.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   EXPECT_EQ(registry.GetGauge("memory.serve_log_bytes")->Value(),
-            static_cast<double>(history->log().log_bytes()));
+            static_cast<double>(history.log_bytes()));
   const double snapshot_bytes =
       registry.GetGauge("memory.serve_snapshot_bytes")->Value();
   EXPECT_GE(snapshot_bytes,
-            static_cast<double>(history->log().checkpoint_bytes()));
+            static_cast<double>(history.checkpoint_bytes()));
   EXPECT_LE(snapshot_bytes,
-            static_cast<double>(history->log().checkpoint_bytes() +
+            static_cast<double>(history.checkpoint_bytes() +
                                 (*service)->LatestEpochState()->size()));
 #endif
 
@@ -434,7 +445,7 @@ TEST(ServeHistoryTest, HandoffSeedsOneGlobalHistory) {
   // Epoch prefixes are global: the last one is the whole log.
   EXPECT_EQ((*service)->LatestEpoch().prefix, tin.num_interactions());
 
-  // Snapshot prefixes: the index's, the handoff, then every epoch.
+  // Snapshot prefixes: the history's, the handoff, then every epoch.
   std::vector<size_t> probes;
   for (size_t p = interval; p <= split; p += interval) probes.push_back(p);
   probes.push_back(split);
@@ -447,7 +458,7 @@ TEST(ServeHistoryTest, HandoffSeedsOneGlobalHistory) {
     for (const size_t p : {probe - 1, probe, probe + 1}) {
       if (p == 0 || p > log.size()) continue;
       const Timestamp t = log[p - 1].t;
-      const auto reference = ReferencePrefix(spec, tin, PrefixLength(tin, t));
+      const auto reference = ReferencePrefix(spec, tin, PrefixAt(tin, t));
       for (const VertexId v : {VertexId{3}, VertexId{21}, VertexId{42}}) {
         QueryResult result = (*service)->Provenance(v, t);
         ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -466,20 +477,12 @@ TEST(ServeHistoryTest, RetentionOffStillAnswersTheSeededHistory) {
   ASSERT_TRUE(factory.ok());
   const auto& log = tin.interactions();
   const size_t split = tin.num_interactions() / 2;
-  auto index = TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, 97);
-  ASSERT_TRUE(index.ok());
-  for (size_t i = 0; i < split; ++i) {
-    ASSERT_TRUE((*index)->Observe(log[i]).ok());
-  }
-  ASSERT_TRUE((*index)->Finalize().ok());
-  std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
-
   ServeOptions options;
   options.epoch_interval = 100;
   options.ring_size = 2;
   options.retain_history = false;
-  auto service = ProvenanceService::CreateWithHistory(spec, tin.Stats(),
-                                                      history, options);
+  auto service = ProvenanceService::Create(
+      spec, tin.Stats(), options, RecordHead(*factory, tin, split, 97));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   std::vector<Interaction> tail(log.begin() + split, log.end());
   ASSERT_TRUE(
@@ -491,7 +494,7 @@ TEST(ServeHistoryTest, RetentionOffStillAnswersTheSeededHistory) {
 
   // Before the handoff the seeded history answers exactly.
   const Timestamp t = log[split / 3].t;
-  const auto reference = ReferencePrefix(spec, tin, PrefixLength(tin, t));
+  const auto reference = ReferencePrefix(spec, tin, PrefixAt(tin, t));
   QueryResult seeded = (*service)->Provenance(5, t);
   ASSERT_TRUE(seeded.status.ok()) << seeded.status.ToString();
   ExpectSameBuffer(reference->Provenance(5), seeded.buffer, "seeded");
@@ -613,7 +616,7 @@ TEST_P(ServeCatchupTest, HistoricalQueriesSpanTheCatchupRange) {
                                          log[split - 1].t, log[split + 5].t,
                                          log.back().t};
   for (const Timestamp t : probes) {
-    const size_t prefix = PrefixLength(tin, t);
+    const size_t prefix = PrefixAt(tin, t);
     const auto reference = ReferencePrefix(spec, tin, prefix);
     for (const VertexId v : {VertexId{1}, VertexId{29}, VertexId{58}}) {
       QueryResult result = (*service)->Provenance(v, t);
@@ -687,18 +690,12 @@ TEST(ServeCatchupApiTest, LifecyclePreconditions) {
     ASSERT_TRUE((*service)->WaitIngest().ok());
   }
   {
-    // A handoff index already carries history: catchup must start from
+    // A handoff log already carries history: catchup must start from
     // empty state.
     auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
     ASSERT_TRUE(factory.ok());
-    auto index =
-        TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, 100);
-    ASSERT_TRUE(index.ok());
-    ASSERT_TRUE((*index)->Observe(log[0]).ok());
-    ASSERT_TRUE((*index)->Finalize().ok());
-    std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
-    auto service =
-        ProvenanceService::CreateWithHistory(spec, tin.Stats(), history);
+    auto service = ProvenanceService::Create(
+        spec, tin.Stats(), {}, RecordHead(*factory, tin, 1, 100));
     ASSERT_TRUE(service.ok());
     EXPECT_EQ((*service)->Catchup(make_stream()).code(),
               StatusCode::kFailedPrecondition);
@@ -717,19 +714,21 @@ TEST(ServeApiTest, RejectsMaterializedModeSpecs) {
   EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ServeApiTest, RejectsUnfinalizedHistory) {
+TEST(ServeApiTest, RejectsHistoryForAnotherVertexCount) {
+  // RestoreState refuses an image cut for another vertex count, so a
+  // checkpointed history recorded over 60 vertices cannot seed a
+  // 61-vertex service.
   const Tin tin = GeneratedTin();
   const TrackerSpec spec = StreamingSpec("FIFO");
   auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
   ASSERT_TRUE(factory.ok());
-  auto index =
-      TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, 100);
-  ASSERT_TRUE(index.ok());  // never finalized
-  std::shared_ptr<const TimeTravelIndex> history = std::move(*index);
-  auto service =
-      ProvenanceService::CreateWithHistory(spec, tin.Stats(), history);
+  const CheckpointedLog history = RecordHead(*factory, tin, 1500, 97);
+  ASSERT_GT(history.num_checkpoints(), 0u);
+  DatasetStats wider = tin.Stats();
+  wider.num_vertices = tin.num_vertices() + 1;
+  auto service = ProvenanceService::Create(spec, wider, {}, history);
   ASSERT_FALSE(service.ok());
-  EXPECT_EQ(service.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServeApiTest, TopOriginsSortsAndTruncates) {

@@ -19,6 +19,7 @@
 #include "analytics/registry.h"
 #include "core/tin.h"
 #include "datagen/generator.h"
+#include "lazy/checkpointed_log.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "serve/service.h"
@@ -1143,14 +1144,14 @@ TEST(ServeDurable, RejectsTwoHistorySources) {
 
   auto factory = TrackerRegistry::Global().Factory(spec, stats);
   ASSERT_TRUE(factory.ok());
-  auto index = TimeTravelIndex::NewStreaming(stats.num_vertices, *factory, 64);
-  ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Observe({0, 1, 0.5, 1.0}).ok());
-  ASSERT_TRUE((*index)->Finalize().ok());
+  VectorStream head(stats.num_vertices,
+                    std::vector<Interaction>{{0, 1, 0.5, 1.0}});
+  auto history = CheckpointedLog::Record(*factory, head, 64);
+  ASSERT_TRUE(history.ok());
 
-  auto conflicted = ProvenanceService::CreateWithHistory(
-      spec, stats, std::shared_ptr<const TimeTravelIndex>(std::move(*index)),
-      DurableServeOptions(dir.path(), nullptr));
+  auto conflicted = ProvenanceService::Create(
+      spec, stats, DurableServeOptions(dir.path(), nullptr),
+      *std::move(history));
   ASSERT_FALSE(conflicted.ok());
   EXPECT_EQ(conflicted.status().code(), StatusCode::kInvalidArgument);
 }

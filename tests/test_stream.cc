@@ -4,8 +4,9 @@
 // factory name; GeneratorStream against the materializing generator for
 // every Table-6 preset; SortingStream across its reorder-window edge
 // cases (empty stream, window smaller than the disorder, the exact
-// boundary); the streaming time-travel build against Build(); and the
-// sharded engine's ReplayStream against its sequential path.
+// boundary); a CheckpointedLog recorded from a stream against
+// checkpoint-free replay; and the sharded engine's ReplayStream against
+// its sequential path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +20,7 @@
 #include "analytics/experiment.h"
 #include "datagen/generator.h"
 #include "datagen/presets.h"
-#include "lazy/time_travel.h"
+#include "lazy/checkpointed_log.h"
 #include "parallel/sharded_replay.h"
 #include "policies/proportional_sparse.h"
 #include "policies/tracker.h"
@@ -374,7 +375,17 @@ TEST(ReserveHintTest, TinFormRoutesThroughStats) {
 }
 
 // ---------------------------------------------------------------------
-// (e) Streaming time-travel build == materialized Build().
+// (e) A CheckpointedLog recorded from a stream answers like
+// checkpoint-free replay of the materialized log.
+
+// Provenance(v) after Replay(log, prefix).
+Buffer ReplayProvenance(const CheckpointedLog& log,
+                        const TrackerFactory& factory, size_t prefix,
+                        VertexId v) {
+  auto tracker = log.Replay(factory, prefix);
+  EXPECT_TRUE(tracker.ok()) << tracker.status().ToString();
+  return tracker.ok() ? (*tracker)->Provenance(v) : Buffer();
+}
 
 class StreamingTimeTravelTest : public ::testing::TestWithParam<std::string> {
 };
@@ -386,33 +397,31 @@ TEST_P(StreamingTimeTravelTest, MatchesMaterializedBuild) {
   ASSERT_TRUE(factory.ok());
   const size_t interval = 700;  // not a divisor of the stream length
 
-  auto built = TimeTravelIndex::Build(tin, *factory, interval);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  CheckpointedLog materialized;
+  for (const Interaction& interaction : tin.interactions()) {
+    materialized.Append(interaction);
+  }
 
-  auto streaming =
-      TimeTravelIndex::NewStreaming(tin.num_vertices(), *factory, interval);
-  ASSERT_TRUE(streaming.ok());
-  EXPECT_FALSE((*streaming)->finalized());
   MaterializedStream arrivals(tin);
-  ASSERT_TRUE((*streaming)->ObserveStream(arrivals).ok());
-  ASSERT_TRUE((*streaming)->Finalize().ok());
-  EXPECT_TRUE((*streaming)->finalized());
+  auto streaming = CheckpointedLog::Record(*factory, arrivals, interval);
+  ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
 
-  EXPECT_EQ((*built)->num_snapshots(), (*streaming)->num_snapshots());
-  EXPECT_EQ((*streaming)->watermark(), tin.interactions().back().t);
+  EXPECT_EQ(streaming->num_checkpoints(), tin.num_interactions() / interval);
+  ASSERT_EQ(streaming->size(), tin.num_interactions());
+  EXPECT_EQ((*streaming)[streaming->size() - 1].t, tin.interactions().back().t);
 
   const Timestamp end = tin.interactions().back().t;
   const std::vector<Timestamp> probes = {
       -1.0, 0.0, end * 0.25, end * 0.5, end * 0.9, end, end + 10.0};
   for (const Timestamp t : probes) {
+    ASSERT_EQ(streaming->UpperBound(t), materialized.UpperBound(t));
     for (const VertexId v : {VertexId{0}, VertexId{17}, VertexId{59}}) {
-      auto expected = (*built)->Provenance(v, t);
-      auto actual = (*streaming)->Provenance(v, t);
-      ASSERT_TRUE(expected.ok());
-      ASSERT_TRUE(actual.ok());
-      ExpectSameBuffer(*expected, *actual,
-                       GetParam() + " t=" + std::to_string(t) + " v=" +
-                           std::to_string(v));
+      ExpectSameBuffer(
+          ReplayProvenance(materialized, *factory, materialized.UpperBound(t),
+                           v),
+          ReplayProvenance(*streaming, *factory, streaming->UpperBound(t), v),
+          GetParam() + " t=" + std::to_string(t) + " v=" +
+              std::to_string(v));
     }
   }
 }
@@ -421,28 +430,29 @@ INSTANTIATE_TEST_SUITE_P(Names, StreamingTimeTravelTest,
                          ::testing::Values("FIFO", "Prop-sparse", "Windowed"),
                          SanitizeName);
 
-TEST(StreamingTimeTravelTest, LifecycleGuards) {
+TEST(StreamingTimeTravelTest, RejectsOutOfOrderArrivals) {
   const Tin tin = GeneratedTin();
-  auto index = TimeTravelIndex::NewStreaming(
-      tin.num_vertices(),
-      [n = tin.num_vertices()] { return CreateTracker(PolicyKind::kFifo, n); },
-      100);
-  ASSERT_TRUE(index.ok());
+  const TrackerFactory factory = [n = tin.num_vertices()] {
+    return CreateTracker(PolicyKind::kFifo, n);
+  };
+  std::vector<Interaction> data(tin.interactions().begin(),
+                                tin.interactions().begin() + 50);
+  std::swap(data[10], data[11]);
+  ASSERT_LT(data[11].t, data[10].t);
 
-  // Querying before Finalize is a precondition failure.
-  EXPECT_EQ((*index)->Provenance(0, 1.0).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE((*index)->Observe(tin.interactions()[0]).ok());
   // Out-of-order arrivals are rejected, not silently replayed.
-  Interaction early = tin.interactions()[0];
-  early.t -= 1.0;
-  EXPECT_EQ((*index)->Observe(early).code(), StatusCode::kInvalidArgument);
+  VectorStream disordered(tin.num_vertices(), data);
+  auto rejected = CheckpointedLog::Record(factory, disordered, 100);
+  ASSERT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("SortingStream"),
+            std::string::npos);
 
-  ASSERT_TRUE((*index)->Finalize().ok());
-  EXPECT_EQ((*index)->Observe(tin.interactions()[1]).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE((*index)->Provenance(0, 1.0).ok());
+  // The repair the diagnostic names.
+  SortingStream repaired(
+      std::make_unique<VectorStream>(tin.num_vertices(), data), 4);
+  auto recorded = CheckpointedLog::Record(factory, repaired, 100);
+  ASSERT_TRUE(recorded.ok()) << recorded.status().ToString();
+  EXPECT_EQ(recorded->size(), data.size());
 }
 
 TEST(StreamingTimeTravelTest, BuildsFromGeneratorStream) {
@@ -453,24 +463,22 @@ TEST(StreamingTimeTravelTest, BuildsFromGeneratorStream) {
     return CreateTracker(PolicyKind::kLifo, n);
   };
 
-  auto built = TimeTravelIndex::Build(*tin, factory, 150);
+  MaterializedStream materialized(*tin);
+  auto built = CheckpointedLog::Record(factory, materialized, 150);
   ASSERT_TRUE(built.ok());
 
   auto stream = GeneratorStream::Create(config);
   ASSERT_TRUE(stream.ok());
-  auto streaming =
-      TimeTravelIndex::NewStreaming(config.num_vertices, factory, 150);
+  auto streaming = CheckpointedLog::Record(factory, *stream, 150);
   ASSERT_TRUE(streaming.ok());
-  ASSERT_TRUE((*streaming)->ObserveStream(*stream).ok());
-  ASSERT_TRUE((*streaming)->Finalize().ok());
+  EXPECT_EQ(streaming->num_checkpoints(), built->num_checkpoints());
 
   const Timestamp end = tin->interactions().back().t;
   for (const Timestamp t : {end * 0.3, end * 0.8, end}) {
-    auto expected = (*built)->Provenance(3, t);
-    auto actual = (*streaming)->Provenance(3, t);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(actual.ok());
-    ExpectSameBuffer(*expected, *actual, "generator-built index");
+    ExpectSameBuffer(
+        ReplayProvenance(*built, factory, built->UpperBound(t), 3),
+        ReplayProvenance(*streaming, factory, streaming->UpperBound(t), 3),
+        "generator-built index");
   }
 }
 
