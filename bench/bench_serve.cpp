@@ -13,6 +13,9 @@
 // that prefix of the materialized log (GeneratorStream emits the same
 // sequence Generate() materializes). Any mismatch fails the run:
 // snapshot isolation is an exactness claim, not a best-effort one.
+// Each row also reports what an epoch publish costs — milliseconds per
+// epoch and the publish share of the ingest wall time — from the
+// serve.snapshot_publish_ns histogram's delta over the row.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +27,7 @@
 #include "analytics/registry.h"
 #include "analytics/report.h"
 #include "bench_util.h"
+#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "serve/service.h"
 #include "stream/interaction_stream.h"
@@ -266,7 +270,10 @@ int main() {
               config.num_vertices, config.num_interactions,
               options.epoch_interval);
   TablePrinter table({"readers", "ingest time", "ingest inter/s", "queries",
-                      "queries/s", "query p50", "query p99", "epochs"});
+                      "queries/s", "query p50", "query p99", "epochs",
+                      "publish/epoch", "publish share"});
+  const obs::Histogram* publish_ns =
+      obs::MetricsRegistry::Global().GetHistogram("serve.snapshot_publish_ns");
 
 #if defined(TINPROV_NO_THREADS)
   const std::vector<size_t> reader_counts = {0};
@@ -289,6 +296,8 @@ int main() {
     }
 
     std::vector<ReaderLog> logs(std::max<size_t>(readers, 1));
+    const uint64_t publishes_before = publish_ns->Count();
+    const uint64_t publish_ns_before = publish_ns->Sum();
     Stopwatch wall;
     Status status = (*service)->Start(
         std::make_unique<GeneratorStream>(*std::move(stream)));
@@ -307,6 +316,9 @@ int main() {
 #endif
     status = (*service)->WaitIngest();
     const double ingest_seconds = wall.ElapsedSeconds();
+    const uint64_t publishes = publish_ns->Count() - publishes_before;
+    const double publish_seconds =
+        static_cast<double>(publish_ns->Sum() - publish_ns_before) / 1e9;
     if (!status.ok()) {
       std::fprintf(stderr, "ingest failed: %s\n", status.ToString().c_str());
       return 1;
@@ -342,16 +354,28 @@ int main() {
                               std::max(ingest_seconds, 1e-12);
     const uint64_t epochs = (*service)->LatestEpoch().seq;
 
+    // Zero publishes observed means metrics are compiled out.
+    const double publish_per_epoch =
+        publishes == 0 ? 0.0 : publish_seconds / static_cast<double>(publishes);
     table.AddRow({std::to_string(readers), FormatSeconds(ingest_seconds),
                   FormatCompact(ingest_rate, 2),
                   std::to_string(latencies.size()),
                   FormatCompact(query_rate, 2), FormatSeconds(p50),
-                  FormatSeconds(p99), std::to_string(epochs)});
+                  FormatSeconds(p99), std::to_string(epochs),
+                  publishes == 0 ? "-" : FormatSeconds(publish_per_epoch),
+                  publishes == 0
+                      ? "-"
+                      : FormatCompact(
+                            publish_seconds / std::max(ingest_seconds, 1e-12),
+                            2)});
 
     VerifySamples(spec, tin, std::move(samples));
 
     const std::string row = "Bitcoin/Prop-sparse/r" + std::to_string(readers);
     reporter.Record(row + "/ingest", ingest_seconds, ingest_rate);
+    if (publishes > 0) {
+      reporter.Record(row + "/publish_per_epoch", publish_per_epoch);
+    }
     if (!latencies.empty()) {
       reporter.Record(row + "/query_p50", p50);
       reporter.Record(row + "/query_p99", p99);

@@ -99,9 +99,10 @@ class BinaryHeap {
   /// bit-exactly where rebuilding via Push() need not.
   const std::vector<T>& Items() const { return items_; }
 
-  /// Replaces the contents with `items`, which must already satisfy the
-  /// heap property (e.g. a verbatim copy of another heap's Items()).
-  void AssignItems(std::vector<T> items) { items_ = std::move(items); }
+  /// The backing array for a snapshot restore to overwrite in place,
+  /// keeping its storage. Whatever the caller leaves there must satisfy
+  /// the heap property, e.g. a verbatim copy of another heap's Items().
+  std::vector<T>& ItemsForRestore() { return items_; }
 
  private:
   void SiftUp(size_t i) {
@@ -182,11 +183,24 @@ class RingDeque {
 
   size_t capacity() const { return items_.size(); }
 
+  /// Grows the capacity, once, to what PushBack-ing `n` items would
+  /// leave (the smallest power of two >= n, at least 8), so a snapshot
+  /// restore fills a ring without regrowing it. Never shrinks.
+  void Reserve(size_t n) {
+    if (n <= items_.size()) return;
+    size_t new_capacity = items_.empty() ? 8 : items_.size() * 2;
+    while (new_capacity < n) new_capacity *= 2;
+    Regrow(new_capacity);
+  }
+
  private:
   size_t Wrap(size_t i) const { return i & (items_.size() - 1); }
 
   void Grow() {
-    const size_t new_capacity = items_.empty() ? 8 : items_.size() * 2;
+    Regrow(items_.empty() ? 8 : items_.size() * 2);
+  }
+
+  void Regrow(size_t new_capacity) {
     std::vector<T> grown(new_capacity);
     for (size_t i = 0; i < size_; ++i) grown[i] = items_[Wrap(head_ + i)];
     items_ = std::move(grown);

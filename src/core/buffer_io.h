@@ -5,10 +5,21 @@
 // save -> restore -> save byte-equality contract of Tracker::SaveState.
 // These helpers write each field individually: the wire image is a pure
 // function of the logical state.
+//
+// A list is its uint64_t entry count followed by the entries, and a
+// tracker writes one list per vertex back to back. The list codecs work
+// a whole block at a time: the writer extends its output once for all
+// lists and encodes through a pointer, and the reader checks each
+// list's byte length once against what remains, then decodes from a
+// pointer into storage the container sized once. That keeps an epoch
+// publish (save + restore of every vertex's list) close to the cost of
+// copying its bytes, with no per-field append or Status.
 #ifndef TINPROV_CORE_BUFFER_IO_H_
 #define TINPROV_CORE_BUFFER_IO_H_
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/buffer.h"
@@ -24,60 +35,102 @@ inline constexpr size_t WireSize(const ProvTriple&) {
   return sizeof(VertexId) + sizeof(Timestamp) + sizeof(double);
 }
 
-inline void AppendEntry(ByteWriter* writer, const ProvPair& entry) {
-  writer->Append(entry.origin);
-  writer->Append(entry.quantity);
+/// Encodes one entry at `out`; returns the byte after it.
+inline uint8_t* EncodeEntry(const ProvPair& entry, uint8_t* out) {
+  std::memcpy(out, &entry.origin, sizeof(entry.origin));
+  out += sizeof(entry.origin);
+  std::memcpy(out, &entry.quantity, sizeof(entry.quantity));
+  return out + sizeof(entry.quantity);
 }
 
-inline void AppendEntry(ByteWriter* writer, const ProvTriple& entry) {
-  writer->Append(entry.origin);
-  writer->Append(entry.birth);
-  writer->Append(entry.quantity);
+inline uint8_t* EncodeEntry(const ProvTriple& entry, uint8_t* out) {
+  std::memcpy(out, &entry.origin, sizeof(entry.origin));
+  out += sizeof(entry.origin);
+  std::memcpy(out, &entry.birth, sizeof(entry.birth));
+  out += sizeof(entry.birth);
+  std::memcpy(out, &entry.quantity, sizeof(entry.quantity));
+  return out + sizeof(entry.quantity);
 }
 
-inline Status ReadEntry(ByteReader* reader, ProvPair* entry) {
-  Status status = reader->Read(&entry->origin);
-  if (!status.ok()) return status;
-  return reader->Read(&entry->quantity);
+/// Decodes one entry from `in`; returns the byte after it.
+inline const uint8_t* DecodeEntry(const uint8_t* in, ProvPair* entry) {
+  std::memcpy(&entry->origin, in, sizeof(entry->origin));
+  in += sizeof(entry->origin);
+  std::memcpy(&entry->quantity, in, sizeof(entry->quantity));
+  return in + sizeof(entry->quantity);
 }
 
-inline Status ReadEntry(ByteReader* reader, ProvTriple* entry) {
-  Status status = reader->Read(&entry->origin);
-  if (!status.ok()) return status;
-  status = reader->Read(&entry->birth);
-  if (!status.ok()) return status;
-  return reader->Read(&entry->quantity);
+inline const uint8_t* DecodeEntry(const uint8_t* in, ProvTriple* entry) {
+  std::memcpy(&entry->origin, in, sizeof(entry->origin));
+  in += sizeof(entry->origin);
+  std::memcpy(&entry->birth, in, sizeof(entry->birth));
+  in += sizeof(entry->birth);
+  std::memcpy(&entry->quantity, in, sizeof(entry->quantity));
+  return in + sizeof(entry->quantity);
 }
 
-// Vec is any contiguous container of ProvPair/ProvTriple with
-// std::vector's basic interface — std::vector itself for the ordered
-// policies, util/pool.h's PooledVec for the proportional lists.
-template <typename Vec>
-void AppendEntryVector(ByteWriter* writer, const Vec& values) {
-  writer->Append<uint64_t>(values.size());
-  for (const auto& value : values) AppendEntry(writer, value);
-}
+/// Writes a block of consecutive lists of T — one per vertex — through
+/// one output extension. The constructor's entry total sizes the block;
+/// a short total only costs an extra extension and a long one is given
+/// back when the writer goes out of scope, so the image is right either
+/// way. Callers pass the count they maintain (num_entries_). Nothing
+/// else may write to `writer` while this one is alive.
+template <typename T>
+class EntryListWriter {
+ public:
+  EntryListWriter(ByteWriter* writer, size_t num_lists, size_t total_entries)
+      : writer_(writer),
+        room_(num_lists * sizeof(uint64_t) + total_entries * WireSize(T{})),
+        out_(writer->Extend(room_)) {}
 
-template <typename Vec>
-Status ReadEntryVector(ByteReader* reader, Vec* out) {
-  using T = typename Vec::value_type;
-  uint64_t count = 0;
-  Status status = reader->Read(&count);
-  if (!status.ok()) return status;
-  // Gate the allocation on the remaining bytes so a corrupted length
-  // cannot demand more memory than the snapshot could possibly fill.
-  if (count > reader->remaining() / WireSize(T{})) {
-    return Status::InvalidArgument(
-        "snapshot truncated: entry vector of " + std::to_string(count) +
-        " entries exceeds the remaining bytes");
+  EntryListWriter(const EntryListWriter&) = delete;
+  EntryListWriter& operator=(const EntryListWriter&) = delete;
+
+  ~EntryListWriter() { writer_->Unextend(room_); }
+
+  /// Starts a list; exactly `count` Add() calls must follow.
+  void BeginList(size_t count) {
+    const size_t need = sizeof(uint64_t) + count * WireSize(T{});
+    if (need > room_) {
+      out_ = writer_->Extend(need - room_) - room_;
+      room_ = need;
+    }
+    room_ -= need;
+    const uint64_t prefix = count;
+    std::memcpy(out_, &prefix, sizeof(prefix));
+    out_ += sizeof(prefix);
   }
-  out->clear();
-  out->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    T entry;
-    status = ReadEntry(reader, &entry);
-    if (!status.ok()) return status;
-    out->push_back(entry);
+
+  void Add(const T& entry) { out_ = EncodeEntry(entry, out_); }
+
+ private:
+  ByteWriter* writer_;
+  size_t room_;  // bytes extended but not yet claimed by a list
+  uint8_t* out_;
+};
+
+/// Reads a block of `num_lists` lists of T written by EntryListWriter.
+/// Each list's byte length is checked once against the remaining bytes,
+/// so a corrupted count can demand neither memory nor reads beyond the
+/// snapshot; then `fill(i, count, entries)` decodes list i's `count`
+/// entries from `entries` (DecodeEntry) into storage it sizes once.
+template <typename T, typename Fill>
+Status ReadEntryLists(ByteReader* reader, size_t num_lists, const Fill& fill) {
+  for (size_t i = 0; i < num_lists; ++i) {
+    uint64_t count = 0;
+    if (reader->remaining() < sizeof(count)) {
+      return Status::InvalidArgument(
+          "snapshot truncated: entry list " + std::to_string(i) + " of " +
+          std::to_string(num_lists) + " is missing");
+    }
+    std::memcpy(&count, reader->Take(sizeof(count)), sizeof(count));
+    if (count > reader->remaining() / WireSize(T{})) {
+      return Status::InvalidArgument(
+          "snapshot truncated: entry vector of " + std::to_string(count) +
+          " entries exceeds the remaining bytes");
+    }
+    const size_t n = static_cast<size_t>(count);
+    fill(i, n, reader->Take(n * WireSize(T{})));
   }
   return Status::Ok();
 }

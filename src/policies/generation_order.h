@@ -93,24 +93,28 @@ class GenerationOrderTracker : public Tracker {
     // Heaps are serialized in array layout, not drain order: a restored
     // heap then pops equal-birth entries exactly as the original would,
     // keeping resumed replays bit-exact.
+    EntryListWriter<ProvTriple> lists(writer, buffers_.size(), num_entries_);
     for (const BinaryHeap<ProvTriple, BirthOrder>& buffer : buffers_) {
-      AppendEntryVector(writer, buffer.Items());
+      lists.BeginList(buffer.size());
+      for (const ProvTriple& entry : buffer.Items()) lists.Add(entry);
     }
   }
 
   Status RestoreStateBody(ByteReader* reader) override {
-    Status status = reader->ReadSpan(totals_.data(), totals_.size());
+    const Status status = reader->ReadSpan(totals_.data(), totals_.size());
     if (!status.ok()) return status;
     num_entries_ = 0;
-    std::vector<ProvTriple> items;
-    for (BinaryHeap<ProvTriple, BirthOrder>& buffer : buffers_) {
-      status = ReadEntryVector(reader, &items);
-      if (!status.ok()) return status;
-      num_entries_ += items.size();
-      buffer.AssignItems(std::move(items));
-      // ReadEntryVector clear()s the moved-from vector before refilling.
-    }
-    return Status::Ok();
+    return ReadEntryLists<ProvTriple>(
+        reader, buffers_.size(),
+        [this](size_t v, size_t count, const uint8_t* in) {
+          std::vector<ProvTriple>& items = buffers_[v].ItemsForRestore();
+          // Resizing from empty allocates exactly `count` when the heap
+          // must grow, as a fresh tracker's restore would, not double.
+          items.clear();
+          items.resize(count);
+          for (ProvTriple& entry : items) in = DecodeEntry(in, &entry);
+          num_entries_ += count;
+        });
   }
 
  private:

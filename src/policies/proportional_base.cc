@@ -284,8 +284,12 @@ void SparseProportionalBase::ReserveHint(const DatasetStats& stats) {
 void SparseProportionalBase::SaveStateBody(ByteWriter* writer) const {
   writer->AppendSpan(totals_.data(), totals_.size());
   writer->AppendSpan(&attributed_generated_, 1);
-  for (const SparseVector& buffer : buffers_) {
-    AppendEntryVector(writer, buffer);
+  {
+    EntryListWriter<ProvPair> lists(writer, buffers_.size(), num_entries_);
+    for (const SparseVector& buffer : buffers_) {
+      lists.BeginList(buffer.size());
+      for (const ProvPair& entry : buffer) lists.Add(entry);
+    }
   }
   SaveAuxState(writer);
 }
@@ -297,12 +301,25 @@ Status SparseProportionalBase::RestoreStateBody(ByteReader* reader) {
   if (!status.ok()) return status;
   num_entries_ = 0;
   num_nonempty_ = 0;
-  for (SparseVector& buffer : buffers_) {
-    status = ReadEntryVector(reader, &buffer);
-    if (!status.ok()) return status;
-    num_entries_ += buffer.size();
-    if (!buffer.empty()) ++num_nonempty_;
-  }
+  status = ReadEntryLists<ProvPair>(
+      reader, buffers_.size(),
+      [this](size_t v, size_t count, const uint8_t* in) {
+        SparseVector& buffer = buffers_[v];
+        // Sized like a fresh tracker's list: a list that must grow gives
+        // its block back first, so the new one is exactly `count` (not
+        // doubled), and one whose block the new contents leave mostly
+        // idle shrinks by the same hysteresis rule as Process().
+        if (count > buffer.capacity()) {
+          buffer.clear();
+          buffer.ShrinkIfSparse();
+        }
+        buffer.ResizeUninitialized(count);
+        for (ProvPair& entry : buffer) in = DecodeEntry(in, &entry);
+        buffer.ShrinkIfSparse();
+        num_entries_ += count;
+        if (count > 0) ++num_nonempty_;
+      });
+  if (!status.ok()) return status;
   return RestoreAuxState(reader);
 }
 

@@ -107,32 +107,30 @@ void ReceiptOrderTracker::SaveStateBody(ByteWriter* writer) const {
   writer->AppendSpan(totals_.data(), totals_.size());
   // Deques are stored in logical (oldest-first) order; the ring's head
   // offset is an implementation detail that need not survive a restore.
+  EntryListWriter<ProvPair> lists(writer, buffers_.size(), num_entries_);
   for (const RingDeque<ProvPair>& buffer : buffers_) {
-    writer->Append<uint64_t>(buffer.size());
-    for (size_t i = 0; i < buffer.size(); ++i) {
-      AppendEntry(writer, buffer.At(i));
-    }
+    lists.BeginList(buffer.size());
+    for (size_t i = 0; i < buffer.size(); ++i) lists.Add(buffer.At(i));
   }
 }
 
 Status ReceiptOrderTracker::RestoreStateBody(ByteReader* reader) {
-  Status status = reader->ReadSpan(totals_.data(), totals_.size());
+  const Status status = reader->ReadSpan(totals_.data(), totals_.size());
   if (!status.ok()) return status;
   num_entries_ = 0;
-  for (RingDeque<ProvPair>& buffer : buffers_) {
-    buffer.clear();
-    uint64_t count = 0;
-    status = reader->Read(&count);
-    if (!status.ok()) return status;
-    for (uint64_t i = 0; i < count; ++i) {
-      ProvPair entry;
-      status = ReadEntry(reader, &entry);
-      if (!status.ok()) return status;
-      buffer.PushBack(entry);
-    }
-    num_entries_ += buffer.size();
-  }
-  return Status::Ok();
+  return ReadEntryLists<ProvPair>(
+      reader, buffers_.size(),
+      [this](size_t v, size_t count, const uint8_t* in) {
+        RingDeque<ProvPair>& buffer = buffers_[v];
+        buffer.clear();
+        buffer.Reserve(count);
+        for (size_t i = 0; i < count; ++i) {
+          ProvPair entry;
+          in = DecodeEntry(in, &entry);
+          buffer.PushBack(entry);
+        }
+        num_entries_ += count;
+      });
 }
 
 }  // namespace tinprov

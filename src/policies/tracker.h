@@ -118,7 +118,12 @@ class Tracker {
   /// was taken. The lazy/ CheckpointedLog builds on this.
   void SaveState(std::vector<uint8_t>* out) const;
 
-  /// Restores state produced by SaveState(). Returns InvalidArgument on
+  /// Restores state produced by SaveState(). A successful restore fully
+  /// defines the tracker's state: any identically configured tracker —
+  /// fresh, or one that has already processed or restored other state —
+  /// afterwards saves the same bytes and answers every query the same,
+  /// so a caller may recycle trackers across restores (the serve layer
+  /// does, one per published epoch). Returns InvalidArgument on
   /// truncated, oversized, or mismatched-vertex-count input; the tracker
   /// state is unspecified after a failed restore.
   Status RestoreState(const uint8_t* data, size_t size);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -73,6 +74,33 @@ struct ProvenanceService::EpochView {
   CheckpointedLog log;
 
   const Epoch& Latest() const { return *ring.back(); }
+};
+
+/// One-slot parking place for the reader tracker of an evicted epoch.
+/// Epoch trackers are shared with a deleter that parks them here
+/// instead of destroying them, and the next publish restores into the
+/// parked one instead of building a fresh tracker. The deleter runs on
+/// whichever thread drops the last reference — the writer evicting an
+/// epoch, or a reader unpinning an old view — hence the mutex. A tracker
+/// arriving while the slot is full is destroyed, outside the lock.
+class ProvenanceService::TrackerSpare {
+ public:
+  void Park(Tracker* tracker) {
+    // Declared before the guard, so a tracker the full slot turns away
+    // is destroyed after the unlock.
+    std::unique_ptr<Tracker> owned(tracker);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (spare_ == nullptr) spare_ = std::move(owned);
+  }
+
+  std::unique_ptr<Tracker> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::move(spare_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::unique_ptr<Tracker> spare_;
 };
 
 /// Tee stream the writer wraps its source in: every pulled interaction
@@ -154,7 +182,8 @@ ProvenanceService::ProvenanceService(TrackerFactory factory, TrackerSpec spec,
     : factory_(std::move(factory)),
       tracker_spec_(std::move(spec)),
       stats_(stats),
-      options_(options) {
+      options_(options),
+      spare_(std::make_shared<TrackerSpare>()) {
   if (options_.epoch_interval == 0) options_.epoch_interval = 1;
   if (options_.ring_size == 0) options_.ring_size = 1;
   if (options_.ingest_batch == 0) options_.ingest_batch = 1;
@@ -193,6 +222,7 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
     live_tracker_->SaveState(state.get());
   }
   live_tracker_->ReserveHint({stats_.num_vertices, stats_.num_interactions});
+  last_state_bytes_ = state->size();
 
   // Epoch 0: the pre-ingest state, published before any reader or the
   // writer exists, so latest_ is never null and plain stores suffice.
@@ -200,16 +230,12 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
   epoch->info.seq = next_seq_++;
   epoch->info.prefix = prefix_base_;
   epoch->info.watermark = resume_watermark_;
-  std::unique_ptr<Tracker> restored = factory_();
-  if (restored == nullptr) {
-    return Status::Internal("tracker factory returned null");
+  auto restored = RestoreEpochTracker(*state);
+  if (!restored.ok()) {
+    return Status(restored.status().code(),
+                  "restoring epoch 0 state: " + restored.status().message());
   }
-  const Status status = restored->RestoreState(*state);
-  if (!status.ok()) {
-    return Status(status.code(),
-                  "restoring epoch 0 state: " + status.message());
-  }
-  epoch->tracker = std::move(restored);
+  epoch->tracker = *std::move(restored);
   epoch->state = state;
 
   if (options_.retain_history) log_.AddCheckpoint(prefix_base_, state);
@@ -223,6 +249,23 @@ Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
   return Status::Ok();
 }
 
+StatusOr<std::shared_ptr<const Tracker>>
+ProvenanceService::RestoreEpochTracker(const std::vector<uint8_t>& state) {
+  std::unique_ptr<Tracker> tracker = spare_->Take();
+  const bool reused = tracker != nullptr;
+  if (!reused) tracker = factory_();
+  if (tracker == nullptr) {
+    return Status::Internal("tracker factory returned null");
+  }
+  const Status status = tracker->RestoreState(state);
+  if (!status.ok()) return status;
+  if (reused) TINPROV_COUNTER_ADD("serve.tracker_reuses", 1);
+  std::shared_ptr<TrackerSpare> spare = spare_;
+  return std::shared_ptr<const Tracker>(
+      tracker.release(),
+      [spare = std::move(spare)](Tracker* parked) { spare->Park(parked); });
+}
+
 void ProvenanceService::AppendLog(const Interaction& interaction) {
   if (options_.retain_history) log_.Append(interaction);
 }
@@ -232,23 +275,23 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   obs::TraceSpan span("serve.publish_epoch", "serve");
 
   auto state = std::make_shared<std::vector<uint8_t>>();
+  // Images grow slowly between epochs: sized from the last one, the
+  // save below fills the buffer without regrowing it.
+  state->reserve(last_state_bytes_ + last_state_bytes_ / 8);
   live_tracker_->SaveState(state.get());
-  std::unique_ptr<Tracker> restored = factory_();
-  if (restored == nullptr) {
-    return Status::Internal("tracker factory returned null");
-  }
-  Status status = restored->RestoreState(*state);
-  if (!status.ok()) {
-    return Status(status.code(), "restoring epoch " +
-                                     std::to_string(next_seq_) + " state: " +
-                                     status.message());
+  last_state_bytes_ = state->size();
+  auto restored = RestoreEpochTracker(*state);
+  if (!restored.ok()) {
+    return Status(restored.status().code(),
+                  "restoring epoch " + std::to_string(next_seq_) +
+                      " state: " + restored.status().message());
   }
 
   auto epoch = std::make_shared<EpochView::Epoch>();
   epoch->info.seq = next_seq_++;
   epoch->info.prefix = prefix;
   epoch->info.watermark = watermark;
-  epoch->tracker = std::move(restored);
+  epoch->tracker = *std::move(restored);
   epoch->state = state;
 
   // Build the successor view from the current one. The writer is the
@@ -448,9 +491,13 @@ ProvenanceService::LatestEpochState() const {
 QueryResult ProvenanceService::Provenance(VertexId v) const {
   TINPROV_SCOPED_LATENCY_NS("serve.query_ns");
   TINPROV_COUNTER_ADD("serve.queries", 1);
+  return ProvenanceIn(*PinView(), v);
+}
+
+QueryResult ProvenanceService::ProvenanceIn(const EpochView& view,
+                                            VertexId v) const {
   QueryResult result;
-  const std::shared_ptr<const EpochView> view = PinView();
-  const EpochView::Epoch& epoch = view->Latest();
+  const EpochView::Epoch& epoch = view.Latest();
   result.epoch = epoch.info;
   if (v >= stats_.num_vertices) {
     result.status = Status::InvalidArgument("query vertex " +

@@ -38,6 +38,15 @@ bool ProbeAvx512() {
 #endif
 }
 
+bool ProbeSse42() {
+#if (defined(__GNUC__) || defined(__clang__)) && \
+    (defined(__x86_64__) || defined(_M_X64) || defined(__i386__))
+  return __builtin_cpu_supports("sse4.2");
+#else
+  return false;
+#endif
+}
+
 SimdLevel ResolveActiveLevel() {
   const SimdLevel detected = DetectSimdLevel();
   const char* env = std::getenv("TINPROV_SIMD");
@@ -69,6 +78,11 @@ SimdLevel DetectSimdLevel() {
 
 bool DetectAvx512() {
   static const bool has = ProbeAvx512();
+  return has;
+}
+
+bool DetectSse42() {
+  static const bool has = ProbeSse42();
   return has;
 }
 

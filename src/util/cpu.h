@@ -29,6 +29,10 @@ SimdLevel DetectSimdLevel();
 /// surfaces in /statusz so a future 512-bit table knows its audience.
 bool DetectAvx512();
 
+/// True when the host supports SSE4.2 (cached CPUID), whose crc32
+/// instruction util/crc32c.h uses unless TINPROV_SIMD=scalar.
+bool DetectSse42();
+
 /// The level the dispatch table actually uses: DetectSimdLevel()
 /// clamped down by a TINPROV_SIMD override if one is set. Resolved on
 /// first call and cached for the process lifetime — the kernel tables

@@ -10,6 +10,7 @@
 #ifndef TINPROV_UTIL_SERIALIZE_H_
 #define TINPROV_UTIL_SERIALIZE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -26,10 +27,7 @@ class ByteWriter {
 
   template <typename T>
   void Append(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "ByteWriter handles trivially copyable types only");
-    const auto* bytes = reinterpret_cast<const uint8_t*>(&value);
-    out_->insert(out_->end(), bytes, bytes + sizeof(T));
+    AppendSpan(&value, 1);
   }
 
   /// Raw span of `count` values with no length prefix — for arrays whose
@@ -39,9 +37,24 @@ class ByteWriter {
   void AppendSpan(const T* values, size_t count) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "ByteWriter handles trivially copyable types only");
-    const auto* bytes = reinterpret_cast<const uint8_t*>(values);
-    out_->insert(out_->end(), bytes, bytes + count * sizeof(T));
+    if (count > 0) std::memcpy(Extend(count * sizeof(T)), values,
+                               count * sizeof(T));
   }
+
+  /// Grows the output by `bytes` and returns the start of the new tail,
+  /// which the caller must fill (or give back with Unextend). The list
+  /// codecs (core/buffer_io.h) write every vertex's list through one
+  /// such tail instead of one append per field; a caller that reserved
+  /// the output beforehand pays no reallocation either.
+  uint8_t* Extend(size_t bytes) {
+    const size_t offset = out_->size();
+    out_->resize(offset + bytes);
+    return out_->data() + offset;
+  }
+
+  /// Gives back the last `bytes` bytes of an Extend() the caller did not
+  /// fill after all.
+  void Unextend(size_t bytes) { out_->resize(out_->size() - bytes); }
 
  private:
   std::vector<uint8_t>* out_;
@@ -79,6 +92,16 @@ class ByteReader {
     std::memcpy(out, data_ + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return Status::Ok();
+  }
+
+  /// Hands out the next `bytes` bytes in place and steps past them; the
+  /// caller has already checked `bytes <= remaining()` (a list codec
+  /// checks its whole byte length once, then decodes from the pointer).
+  const uint8_t* Take(size_t bytes) {
+    assert(bytes <= remaining());
+    const uint8_t* at = data_ + pos_;
+    pos_ += bytes;
+    return at;
   }
 
  private:

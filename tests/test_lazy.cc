@@ -5,12 +5,14 @@
 // checkpoints; a Record()ed log against full-prefix replay at arbitrary
 // historical times (snapshot boundaries and pre-history included); and
 // snapshot/restore must round-trip every policy's state bit-exactly,
-// byte-for-byte.
+// byte-for-byte, into fresh and used trackers alike, and every codec's
+// wire format is pinned byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,9 +22,18 @@
 #include "datagen/generator.h"
 #include "lazy/checkpointed_log.h"
 #include "obs/metrics.h"
+#include "policies/generation_order.h"
+#include "policies/no_provenance.h"
+#include "policies/proportional_dense.h"
+#include "policies/proportional_sparse.h"
+#include "policies/receipt_order.h"
 #include "policies/tracker.h"
+#include "scalable/budget.h"
+#include "scalable/selective.h"
+#include "scalable/windowed.h"
 #include "stream/interaction_stream.h"
 #include "util/random.h"
+#include "util/serialize.h"
 
 namespace tinprov {
 namespace {
@@ -41,7 +52,7 @@ Tin HandTin() {
   return Tin(5, std::move(log));
 }
 
-Tin GeneratedTin() {
+Tin GeneratedTin(uint64_t seed = 41) {
   GeneratorConfig config;
   config.num_vertices = 60;
   config.num_interactions = 3000;
@@ -51,7 +62,7 @@ Tin GeneratedTin() {
   config.quantity_param1 = 1.0;
   config.quantity_param2 = 1.0;
   config.self_loop_fraction = 0.05;
-  config.seed = 41;
+  config.seed = seed;
   auto tin = Generate(config);
   EXPECT_TRUE(tin.ok());
   return std::move(tin).value();
@@ -528,6 +539,72 @@ TEST_P(SnapshotRoundTripTest, RejectsCorruptSnapshots) {
   EXPECT_TRUE(target->RestoreState(saved).ok());
 }
 
+TEST_P(SnapshotRoundTripTest, RejectsTruncationAtEveryOffset) {
+  const Tin tin = HandTin();
+  auto factory =
+      TrackerRegistry::Global().Factory({GetParam(), TestParams()}, tin);
+  ASSERT_TRUE(factory.ok());
+  std::vector<uint8_t> saved;
+  EagerPrefix(*factory, tin, tin.num_interactions())->SaveState(&saved);
+
+  std::unique_ptr<Tracker> target = (*factory)();
+  for (size_t length = 0; length < saved.size(); ++length) {
+    EXPECT_EQ(target->RestoreState(saved.data(), length).code(),
+              StatusCode::kInvalidArgument)
+        << GetParam() << ": image cut to " << length << " of "
+        << saved.size() << " bytes";
+  }
+  ASSERT_TRUE(target->RestoreState(saved).ok());
+  std::vector<uint8_t> resaved;
+  target->SaveState(&resaved);
+  EXPECT_EQ(saved, resaved) << GetParam();
+}
+
+// RestoreState fully defines a tracker's state: a tracker that has run
+// another log and restored a larger image must come out of a restore
+// exactly like a fresh one, now and for every interaction after.
+TEST_P(SnapshotRoundTripTest, RestoreIntoUsedTrackerMatchesFresh) {
+  const Tin tin = GeneratedTin();
+  const Tin other = GeneratedTin(/*seed=*/77);
+  auto factory =
+      TrackerRegistry::Global().Factory({GetParam(), TestParams()}, tin);
+  ASSERT_TRUE(factory.ok());
+  const size_t cut = tin.num_interactions() / 3;
+  std::vector<uint8_t> small;
+  EagerPrefix(*factory, tin, cut)->SaveState(&small);
+  std::vector<uint8_t> large;
+  EagerPrefix(*factory, tin, tin.num_interactions())->SaveState(&large);
+
+  std::unique_ptr<Tracker> used = (*factory)();
+  ASSERT_TRUE(used->ProcessAll(other).ok());
+  ASSERT_TRUE(used->RestoreState(large).ok());
+  ASSERT_TRUE(used->RestoreState(small).ok());
+  std::unique_ptr<Tracker> fresh = (*factory)();
+  ASSERT_TRUE(fresh->RestoreState(small).ok());
+
+  const auto expect_same = [&](const std::string& when) {
+    std::vector<uint8_t> from_used;
+    std::vector<uint8_t> from_fresh;
+    used->SaveState(&from_used);
+    fresh->SaveState(&from_fresh);
+    EXPECT_EQ(from_used, from_fresh) << GetParam() << " " << when;
+    EXPECT_EQ(used->MemoryUsage(), fresh->MemoryUsage())
+        << GetParam() << " " << when;
+    for (VertexId v = 0; v < tin.num_vertices(); ++v) {
+      ExpectSameBuffer(fresh->Provenance(v), used->Provenance(v),
+                       GetParam() + " " + when + " vertex " +
+                           std::to_string(v));
+    }
+  };
+  expect_same("after the restore");
+  const auto& log = tin.interactions();
+  for (size_t i = cut; i < log.size(); ++i) {
+    ASSERT_TRUE(used->Process(log[i]).ok());
+    ASSERT_TRUE(fresh->Process(log[i]).ok());
+  }
+  expect_same("after resuming to the end");
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFactoryNames, SnapshotRoundTripTest,
                          ::testing::ValuesIn(TrackerRegistry::Global().Names()),
                          SanitizeName);
@@ -541,6 +618,189 @@ TEST(SnapshotMismatchTest, RejectsWrongVertexCount) {
   std::unique_ptr<Tracker> large = CreateTracker(PolicyKind::kFifo, 6);
   const Status status = large->RestoreState(saved);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// (e) The wire format, pinned. Each codec family's image of a small
+// hand-built state must equal the image assembled field by field here:
+// SaveState output is what snapshots on disk and retained checkpoints
+// hold, so a faster codec may not change a byte of it.
+
+// Three interactions over vertices 0-2: 0 generates 5 and sends it to
+// 1, 2 generates 3 and sends it to 1, then 1 sends 6 of its 8 to 0.
+std::vector<uint8_t> GoldenImage(Tracker* tracker) {
+  const std::vector<Interaction> log = {
+      {0, 1, 1.0, 5.0}, {2, 1, 2.0, 3.0}, {1, 0, 3.0, 6.0}};
+  for (const Interaction& interaction : log) {
+    EXPECT_TRUE(tracker->Process(interaction).ok());
+  }
+  std::vector<uint8_t> image;
+  tracker->SaveState(&image);
+  return image;
+}
+
+// The expected image, appended field by field as the codecs write it.
+class ExpectedImage {
+ public:
+  template <typename T>
+  ExpectedImage& Put(T value) {
+    ByteWriter(&bytes_).Append(value);
+    return *this;
+  }
+
+  /// The framing every tracker writes: vertex count, total generated.
+  ExpectedImage& Header(uint64_t num_vertices, double generated) {
+    return Put<uint64_t>(num_vertices).Put<double>(generated);
+  }
+
+  ExpectedImage& Doubles(std::initializer_list<double> values) {
+    for (const double value : values) Put<double>(value);
+    return *this;
+  }
+
+  ExpectedImage& Pair(VertexId origin, double quantity) {
+    return Put<VertexId>(origin).Put<double>(quantity);
+  }
+
+  ExpectedImage& Triple(VertexId origin, Timestamp birth, double quantity) {
+    return Put<VertexId>(origin).Put<Timestamp>(birth).Put<double>(quantity);
+  }
+
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+ private:
+  std::vector<uint8_t> bytes_;
+};
+
+TEST(WireFormatTest, ReceiptOrderRingsInLogicalOrder) {
+  // FIFO: vertex 1 spent its (0, 5) and 1 of its (2, 3), so its ring's
+  // head has moved off slot 0 — the image lists what is left, oldest
+  // first.
+  FifoTracker fifo(3);
+  EXPECT_EQ(GoldenImage(&fifo),
+            ExpectedImage()
+                .Header(3, 8.0)
+                .Doubles({6.0, 2.0, 0.0})
+                .Put<uint64_t>(2).Pair(0, 5.0).Pair(2, 1.0)
+                .Put<uint64_t>(1).Pair(2, 2.0)
+                .Put<uint64_t>(0)
+                .bytes());
+  // LIFO spends (2, 3) first, then 3 of (0, 5).
+  LifoTracker lifo(3);
+  EXPECT_EQ(GoldenImage(&lifo),
+            ExpectedImage()
+                .Header(3, 8.0)
+                .Doubles({6.0, 2.0, 0.0})
+                .Put<uint64_t>(2).Pair(2, 3.0).Pair(0, 3.0)
+                .Put<uint64_t>(1).Pair(0, 2.0)
+                .Put<uint64_t>(0)
+                .bytes());
+}
+
+TEST(WireFormatTest, GenerationOrderHeapsInArrayLayout) {
+  LrbTracker lrb(3);
+  EXPECT_EQ(GoldenImage(&lrb),
+            ExpectedImage()
+                .Header(3, 8.0)
+                .Doubles({6.0, 2.0, 0.0})
+                .Put<uint64_t>(2).Triple(0, 1.0, 5.0).Triple(2, 2.0, 1.0)
+                .Put<uint64_t>(1).Triple(2, 2.0, 2.0)
+                .Put<uint64_t>(0)
+                .bytes());
+  MrbTracker mrb(3);
+  EXPECT_EQ(GoldenImage(&mrb),
+            ExpectedImage()
+                .Header(3, 8.0)
+                .Doubles({6.0, 2.0, 0.0})
+                .Put<uint64_t>(2).Triple(2, 2.0, 3.0).Triple(0, 1.0, 3.0)
+                .Put<uint64_t>(1).Triple(0, 1.0, 2.0)
+                .Put<uint64_t>(0)
+                .bytes());
+}
+
+TEST(WireFormatTest, ProportionalSparseLists) {
+  // Totals, the attributed total, then each vertex's origin-sorted list.
+  ProportionalSparseTracker sparse(3);
+  EXPECT_EQ(GoldenImage(&sparse),
+            ExpectedImage()
+                .Header(3, 8.0)
+                .Doubles({6.0, 2.0, 0.0})
+                .Put<double>(8.0)
+                .Put<uint64_t>(2).Pair(0, 3.75).Pair(2, 2.25)
+                .Put<uint64_t>(2).Pair(0, 1.25).Pair(2, 0.75)
+                .Put<uint64_t>(0)
+                .bytes());
+}
+
+TEST(WireFormatTest, ProportionalDenseLazyRows) {
+  // A row is a presence byte, then |V| doubles if the vertex was ever
+  // touched; vertex 3 never was.
+  ProportionalDenseTracker dense(4);
+  EXPECT_EQ(GoldenImage(&dense),
+            ExpectedImage()
+                .Header(4, 8.0)
+                .Doubles({6.0, 2.0, 0.0, 0.0})
+                .Put<uint8_t>(1).Doubles({3.75, 0.0, 2.25, 0.0})
+                .Put<uint8_t>(1).Doubles({1.25, 0.0, 0.75, 0.0})
+                .Put<uint8_t>(1).Doubles({0.0, 0.0, 0.0, 0.0})
+                .Put<uint8_t>(0)
+                .bytes());
+}
+
+TEST(WireFormatTest, NoProvenanceBalances) {
+  NoProvenanceTracker none(3);
+  EXPECT_EQ(GoldenImage(&none),
+            ExpectedImage().Header(3, 8.0).Doubles({6.0, 2.0, 0.0}).bytes());
+}
+
+TEST(WireFormatTest, ScalableAuxStateFollowsTheLists) {
+  // Budget of one tuple: vertex 1's (2, 3) is shrunk away (alpha 3),
+  // then the shrink counters and their total trail the lists.
+  BudgetConfig config;
+  config.capacity = 1;
+  config.keep_fraction = 1.0;
+  BudgetTracker budget(3, config);
+  EXPECT_EQ(GoldenImage(&budget),
+            ExpectedImage()
+                .Header(3, 8.0)
+                .Doubles({6.0, 2.0, 0.0})
+                .Put<double>(5.0)
+                .Put<uint64_t>(1).Pair(0, 3.75)
+                .Put<uint64_t>(1).Pair(0, 1.25)
+                .Put<uint64_t>(0)
+                .Put<uint32_t>(0).Put<uint32_t>(1).Put<uint32_t>(0)
+                .Put<uint64_t>(1)
+                .bytes());
+
+  // A window of 2 resets after the second interaction, so every list
+  // is empty; the window phase (1 since the reset) and reset count
+  // trail them.
+  WindowedTracker windowed(3, 2);
+  EXPECT_EQ(GoldenImage(&windowed),
+            ExpectedImage()
+                .Header(3, 8.0)
+                .Doubles({6.0, 2.0, 0.0})
+                .Put<double>(0.0)
+                .Put<uint64_t>(0)
+                .Put<uint64_t>(0)
+                .Put<uint64_t>(0)
+                .Put<uint64_t>(1)
+                .Put<uint64_t>(1)
+                .bytes());
+
+  // Tracking only vertex 0: vertex 2's 3 is never attributed; the
+  // tracked generated quantity trails the lists.
+  SelectiveTracker selective(3, {0});
+  EXPECT_EQ(GoldenImage(&selective),
+            ExpectedImage()
+                .Header(3, 8.0)
+                .Doubles({6.0, 2.0, 0.0})
+                .Put<double>(5.0)
+                .Put<uint64_t>(1).Pair(0, 3.75)
+                .Put<uint64_t>(1).Pair(0, 1.25)
+                .Put<uint64_t>(0)
+                .Put<double>(5.0)
+                .bytes());
 }
 
 }  // namespace

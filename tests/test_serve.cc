@@ -38,6 +38,23 @@
 #endif
 
 namespace tinprov {
+
+// Holds a view the way an in-flight reader does, for as long as a test
+// likes: the view keeps its epochs' reader trackers alive.
+class ProvenanceServiceTestPeer {
+ public:
+  using Pin = std::shared_ptr<const ProvenanceService::EpochView>;
+
+  static Pin PinLatest(const ProvenanceService& service) {
+    return service.PinView();
+  }
+
+  static QueryResult Provenance(const ProvenanceService& service,
+                                const Pin& pin, VertexId v) {
+    return service.ProvenanceIn(*pin, v);
+  }
+};
+
 namespace {
 
 Tin GeneratedTin(size_t num_interactions = 3000) {
@@ -316,6 +333,107 @@ TEST(ServeHistoryTest, RingWraparoundStillAnswersExactly) {
     }
   }
 }
+
+// ---------------------------------------------------------------------
+// (c2) Recycled reader trackers. With a one-epoch ring every publish
+// evicts the previous epoch, whose reader tracker is parked and then
+// restored into by the next publish. A reader pinning an old epoch
+// across many publishes keeps its tracker untouched — only unpinned
+// trackers are ever parked — and its answers, the concurrent readers'
+// answers at every epoch and the newest epoch's all match
+// stop-the-world replay.
+
+class ServeRecycleTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServeRecycleTest, PinnedEpochSurvivesRecycledPublishes) {
+  using Peer = ProvenanceServiceTestPeer;
+  const Tin tin = GeneratedTin();
+  const TrackerSpec spec = StreamingSpec(GetParam());
+  auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
+  ASSERT_TRUE(factory.ok());
+  const size_t split = 1000;
+  const auto& log = tin.interactions();
+
+  ServeOptions options;
+  options.epoch_interval = 64;  // 31 publishes over the 2000-long tail
+  options.ingest_batch = 64;
+  options.ring_size = 1;
+  auto service = ProvenanceService::Create(
+      spec, tin.Stats(), options, RecordHead(*factory, tin, split, 250));
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  // Epoch 0 is the handoff state at `split`; pin it before the writer
+  // starts.
+  const Peer::Pin pinned = Peer::PinLatest(**service);
+  const obs::Counter* reuses =
+      obs::MetricsRegistry::Global().GetCounter("serve.tracker_reuses");
+  const uint64_t reuses_before = reuses->Value();
+
+  struct Sample {
+    size_t prefix = 0;
+    VertexId v = 0;
+    Buffer buffer;
+  };
+  std::vector<Sample> samples;
+  ASSERT_TRUE((*service)
+                  ->Start(std::make_unique<VectorStream>(
+                      tin.num_vertices(),
+                      std::vector<Interaction>(log.begin() + split,
+                                               log.end())))
+                  .ok());
+#if !defined(TINPROV_NO_THREADS)
+  // A concurrent reader unpins views on its own thread, so some evicted
+  // trackers are parked from here rather than from the writer.
+  std::thread reader([&] {
+    VertexId v = 0;
+    while (!(*service)->IngestDone()) {
+      QueryResult result = (*service)->Provenance(v);
+      if (!result.status.ok()) return;
+      samples.push_back({result.epoch.prefix, v, std::move(result.buffer)});
+      v = (v + 7) % static_cast<VertexId>(tin.num_vertices());
+    }
+  });
+  reader.join();
+#endif
+  ASSERT_TRUE((*service)->WaitIngest().ok());
+  EXPECT_GE((*service)->LatestEpoch().seq, 20u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_GT(reuses->Value(), reuses_before);
+  }
+
+  const auto at_split = ReferencePrefix(spec, tin, split);
+  for (VertexId v = 0; v < tin.num_vertices(); ++v) {
+    const QueryResult result = Peer::Provenance(**service, pinned, v);
+    ASSERT_TRUE(result.status.ok());
+    EXPECT_EQ(result.epoch.prefix, split);
+    ExpectSameBuffer(at_split->Provenance(v), result.buffer,
+                     GetParam() + " pinned vertex " + std::to_string(v));
+    QueryResult latest = (*service)->Provenance(v);
+    ASSERT_TRUE(latest.status.ok());
+    samples.push_back({latest.epoch.prefix, v, std::move(latest.buffer)});
+  }
+
+  std::sort(samples.begin(), samples.end(),
+            [](const Sample& a, const Sample& b) {
+              return a.prefix < b.prefix;
+            });
+  std::unique_ptr<Tracker> reference = (*factory)();
+  size_t applied = 0;
+  for (const Sample& sample : samples) {
+    ASSERT_GE(sample.prefix, split);
+    ASSERT_LE(sample.prefix, log.size());
+    while (applied < sample.prefix) {
+      ASSERT_TRUE(reference->Process(log[applied++]).ok());
+    }
+    ExpectSameBuffer(reference->Provenance(sample.v), sample.buffer,
+                     GetParam() + " prefix " + std::to_string(sample.prefix) +
+                         " vertex " + std::to_string(sample.v));
+  }
+  EXPECT_EQ(applied, log.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFactoryNames, ServeRecycleTest,
+                         ::testing::ValuesIn(TrackerRegistry::Global().Names()),
+                         SanitizeName);
 
 TEST(ServeHistoryTest, RetentionOffBoundsHistoricalReach) {
   const Tin tin = GeneratedTin();

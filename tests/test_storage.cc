@@ -174,6 +174,46 @@ TEST(Crc32c, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Crc32c, KnownVectorsOnBothPaths) {
+  // KnownVectors checks whichever path this process dispatches to (the
+  // table under TINPROV_SIMD=scalar); this pins each one explicitly.
+  namespace impl = crc32c_internal;
+  const uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  const std::vector<uint8_t> zeros(32, 0);
+  EXPECT_EQ(impl::ExtendTable(0, digits, sizeof(digits)), 0xe3069283u);
+  EXPECT_EQ(impl::ExtendTable(0, zeros.data(), zeros.size()), 0x8a9136aau);
+  if (!impl::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2 on this host";
+  EXPECT_EQ(impl::ExtendHardware(0, digits, sizeof(digits)), 0xe3069283u);
+  EXPECT_EQ(impl::ExtendHardware(0, zeros.data(), zeros.size()),
+            0x8a9136aau);
+  EXPECT_EQ(impl::ExtendHardware(0, nullptr, 0), 0u);
+}
+
+TEST(Crc32c, HardwarePathMatchesTableAtEveryLengthAndOffset) {
+  namespace impl = crc32c_internal;
+  if (!impl::HardwareAvailable()) GTEST_SKIP() << "no SSE4.2 on this host";
+  std::vector<uint8_t> data(size_t{1} << 20);
+  uint64_t lcg = 0x9e3779b97f4a7c15ull;
+  for (uint8_t& byte : data) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<uint8_t>(lcg >> 56);
+  }
+  // Lengths 0-64 from every alignment cover the 8-byte loop, the byte
+  // tail and unaligned loads; a non-zero seed covers Extend chaining.
+  for (const uint32_t seed : {0u, 0xdeadbeefu}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t length = 0; length <= 64; ++length) {
+        EXPECT_EQ(impl::ExtendHardware(seed, data.data() + offset, length),
+                  impl::ExtendTable(seed, data.data() + offset, length))
+            << "seed " << seed << " offset " << offset << " length "
+            << length;
+      }
+    }
+  }
+  EXPECT_EQ(impl::ExtendHardware(0, data.data(), data.size()),
+            impl::ExtendTable(0, data.data(), data.size()));
+}
+
 TEST(Crc32c, MaskRoundtripAndDistinctness) {
   for (const uint32_t crc : {0u, 1u, 0xdeadbeefu, 0xffffffffu}) {
     EXPECT_EQ(Crc32cUnmask(Crc32cMask(crc)), crc);
