@@ -251,7 +251,7 @@ int main() {
   }
   bench::PrintHeader("Serving under ingest",
                      "Snapshot-isolated queries vs a live writer "
-                     "(Prop-sparse, epoch ring)");
+                     "(Prop-sparse)");
   bench::JsonBenchReporter reporter("bench_serve");
 
   const GeneratorConfig config = PresetConfig(DatasetKind::kBitcoin, scale);
@@ -263,7 +263,6 @@ int main() {
   ServeOptions options;
   options.epoch_interval =
       std::max<size_t>(256, config.num_interactions / 32);
-  options.ring_size = 4;
 
   std::printf("\nBitcoin network (%zu vertices, %zu interactions), epoch "
               "interval %zu:\n",

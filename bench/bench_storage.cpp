@@ -322,20 +322,22 @@ int RunCrashVerify() {
   }
   std::vector<uint8_t> reference_state;
   reference->SaveState(&reference_state);
-  if (recovered->state != reference_state) {
+  std::vector<uint8_t> recovered_state;
+  recovered->tracker->SaveState(&recovered_state);
+  if (recovered_state != reference_state) {
     size_t first = 0;
     const size_t common =
-        std::min(recovered->state.size(), reference_state.size());
-    while (first < common && recovered->state[first] == reference_state[first])
+        std::min(recovered_state.size(), reference_state.size());
+    while (first < common && recovered_state[first] == reference_state[first])
       ++first;
     std::fprintf(stderr,
                  "recovered state diverges from clean replay at byte %zu "
                  "(%zu vs %zu bytes total)\n",
-                 first, recovered->state.size(), reference_state.size());
+                 first, recovered_state.size(), reference_state.size());
     // Dump both states next to the log for the CI failure artifact.
     for (const auto& [name, bytes] :
          {std::pair<const char*, const std::vector<uint8_t>*>(
-              "diff-recovered-state.bin", &recovered->state),
+              "diff-recovered-state.bin", &recovered_state),
           std::pair<const char*, const std::vector<uint8_t>*>(
               "diff-reference-state.bin", &reference_state)}) {
       std::FILE* out =

@@ -7,7 +7,7 @@
 // (ServeOptions::slow_query_ns). A record carries enough to diagnose
 // the outlier without a debugger: the query kind and vertex, the
 // latency, how many log interactions the answer had to delta-replay
-// (0 for epoch-ring hits — those are the fast path), and the epoch the
+// (0 for latest-epoch answers — the fast path), and the epoch the
 // answer resolved against.
 //
 // The ring is fixed-capacity and mutex-guarded; when full, the oldest

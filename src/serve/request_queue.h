@@ -73,7 +73,8 @@ struct QueryResult {
   /// Execute (the direct reader methods).
   uint64_t query_id = 0;
   /// Log interactions delta-replayed to build the answer; 0 on the
-  /// epoch fast paths (latest epoch, ring hit).
+  /// latest epoch's fast path and when the answer's prefix is an
+  /// older epoch's retained image.
   size_t replayed_interactions = 0;
 };
 

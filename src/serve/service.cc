@@ -53,35 +53,28 @@ std::string JsonDouble(double v) {
 
 }  // namespace
 
-/// The immutable state one atomic publish makes visible. Readers pin a
+/// The immutable state one atomic publish makes visible: the newest
+/// epoch and the history copy it was published with. Readers pin a
 /// view with atomic_load and may then use everything it references for
 /// as long as they hold the shared_ptr; the writer never mutates a
 /// published view, it builds a successor and swaps the pointer.
 struct ProvenanceService::EpochView {
-  struct Epoch {
-    EpochInfo info;
-    std::shared_ptr<const Tracker> tracker;  // restored, read-only
-    std::shared_ptr<const std::vector<uint8_t>> state;
-  };
-
-  /// Recent epochs, oldest first; back() is the newest and always
-  /// present (epoch 0 is published before any reader exists).
-  std::vector<std::shared_ptr<const Epoch>> ring;
+  EpochInfo info;
+  std::shared_ptr<const std::vector<uint8_t>> state;  // SaveState image
+  std::shared_ptr<const Tracker> tracker;  // `state` restored, read-only
 
   /// The writer's history as of this publish: the seeded history, then
-  /// (with retention on) every interaction up to the newest epoch's
-  /// prefix and every epoch's byte image.
+  /// (with retention on) every interaction up to the epoch's prefix and
+  /// every epoch's byte image.
   CheckpointedLog log;
-
-  const Epoch& Latest() const { return *ring.back(); }
 };
 
-/// One-slot parking place for the reader tracker of an evicted epoch.
-/// Epoch trackers are shared with a deleter that parks them here
+/// One-slot parking place for the reader tracker of a superseded
+/// epoch. Epoch trackers are shared with a deleter that parks them here
 /// instead of destroying them, and the next publish restores into the
 /// parked one instead of building a fresh tracker. The deleter runs on
-/// whichever thread drops the last reference — the writer evicting an
-/// epoch, or a reader unpinning an old view — hence the mutex. A tracker
+/// whichever thread drops the last reference — the writer replacing the
+/// view, or a reader unpinning an old one — hence the mutex. A tracker
 /// arriving while the slot is full is destroyed, outside the lock.
 class ProvenanceService::TrackerSpare {
  public:
@@ -131,10 +124,9 @@ StatusOr<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
   if (!factory.ok()) return factory.status();
   std::unique_ptr<ProvenanceService> service(
       new ProvenanceService(*std::move(factory), spec, stats, options));
-  // The final state of the seeded history (log_), from the directory
-  // or the handoff log.
-  std::vector<uint8_t> handoff;
 
+  // The live tracker starts from the final state of the seeded history
+  // (log_): the directory's, replayed by recovery, or the handoff log's.
   if (options.durability.Enabled()) {
     if (!history.empty()) {
       return Status::InvalidArgument(
@@ -155,23 +147,25 @@ StatusOr<std::unique_ptr<ProvenanceService>> ProvenanceService::Create(
                                          options.durability.log);
     if (!log.ok()) return log.status();
     service->durable_ = *std::move(log);
-    if (recovered->prefix > 0) {
-      // The recovered SaveState bytes are the handoff — the resume
-      // contract makes them the log's final state without a replay.
-      service->log_ = std::move(recovered->log);
-      service->resume_watermark_ = recovered->watermark;
-      handoff = std::move(recovered->state);
-    }
-  } else if (!history.empty()) {
+    service->live_tracker_ = std::move(recovered->tracker);
+    service->log_ = std::move(recovered->log);
+    service->resume_watermark_ = recovered->watermark;
+  } else {
     auto tracker = history.Replay(service->factory_, history.size());
-    if (!tracker.ok()) return tracker.status();
-    (*tracker)->SaveState(&handoff);
-    service->resume_watermark_ = history[history.size() - 1].t;
+    if (!tracker.ok()) {
+      return Status(tracker.status().code(),
+                    "replaying the handoff history (is the spec configured "
+                    "like the history's trackers?): " +
+                        tracker.status().message());
+    }
+    service->live_tracker_ = *std::move(tracker);
+    if (!history.empty()) {
+      service->resume_watermark_ = history[history.size() - 1].t;
+    }
     service->log_ = std::move(history);
   }
   service->prefix_base_ = service->log_.size();
-  const Status status =
-      service->Init(service->log_.empty() ? nullptr : &handoff);
+  const Status status = service->Init();
   if (!status.ok()) return status;
   return service;
 }
@@ -185,7 +179,6 @@ ProvenanceService::ProvenanceService(TrackerFactory factory, TrackerSpec spec,
       options_(options),
       spare_(std::make_shared<TrackerSpare>()) {
   if (options_.epoch_interval == 0) options_.epoch_interval = 1;
-  if (options_.ring_size == 0) options_.ring_size = 1;
   if (options_.ingest_batch == 0) options_.ingest_batch = 1;
   pool_ = std::make_unique<QueryWorkerPool>(
       [this](const QueryRequest& request) { return Execute(request); },
@@ -203,50 +196,43 @@ ProvenanceService::~ProvenanceService() {
 #endif
 }
 
-Status ProvenanceService::Init(const std::vector<uint8_t>* handoff_state) {
-  live_tracker_ = factory_();
-  if (live_tracker_ == nullptr) {
-    return Status::Internal("tracker factory returned null");
-  }
-  auto state = std::make_shared<std::vector<uint8_t>>();
-  if (handoff_state != nullptr) {
-    *state = *handoff_state;
-    const Status status = live_tracker_->RestoreState(*state);
-    if (!status.ok()) {
-      return Status(status.code(),
-                    "restoring handoff state into the live tracker (is the "
-                    "spec configured like the history's trackers?): " +
-                        status.message());
-    }
-  } else {
-    live_tracker_->SaveState(state.get());
-  }
+Status ProvenanceService::Init() {
   live_tracker_->ReserveHint({stats_.num_vertices, stats_.num_interactions});
-  last_state_bytes_ = state->size();
-
   // Epoch 0: the pre-ingest state, published before any reader or the
-  // writer exists, so latest_ is never null and plain stores suffice.
-  auto epoch = std::make_shared<EpochView::Epoch>();
-  epoch->info.seq = next_seq_++;
-  epoch->info.prefix = prefix_base_;
-  epoch->info.watermark = resume_watermark_;
-  auto restored = RestoreEpochTracker(*state);
-  if (!restored.ok()) {
-    return Status(restored.status().code(),
-                  "restoring epoch 0 state: " + restored.status().message());
-  }
-  epoch->tracker = *std::move(restored);
-  epoch->state = state;
-
-  if (options_.retain_history) log_.AddCheckpoint(prefix_base_, state);
-  auto view = std::make_shared<EpochView>();
-  view->ring.push_back(std::move(epoch));
-  view->log = log_;
-  latest_ = std::move(view);
+  // writer exists, so latest_ is never null and a plain store suffices.
+  auto view = BuildView(prefix_base_, resume_watermark_);
+  if (!view.ok()) return view.status();
+  latest_ = *std::move(view);
   last_publish_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   TINPROV_GAUGE_SET("memory.serve_log_bytes", log_.log_bytes());
   TINPROV_GAUGE_SET("memory.serve_snapshot_bytes", log_.checkpoint_bytes());
   return Status::Ok();
+}
+
+StatusOr<std::shared_ptr<const ProvenanceService::EpochView>>
+ProvenanceService::BuildView(size_t prefix, Timestamp watermark) {
+  auto state = std::make_shared<std::vector<uint8_t>>();
+  // Images grow slowly between epochs: sized from the last one, the
+  // save below fills the buffer without regrowing it.
+  state->reserve(last_state_bytes_ + last_state_bytes_ / 8);
+  live_tracker_->SaveState(state.get());
+  last_state_bytes_ = state->size();
+  auto restored = RestoreEpochTracker(*state);
+  if (!restored.ok()) {
+    return Status(restored.status().code(),
+                  "restoring epoch " + std::to_string(next_seq_) +
+                      " state: " + restored.status().message());
+  }
+
+  auto view = std::make_shared<EpochView>();
+  view->info.seq = next_seq_++;
+  view->info.prefix = prefix;
+  view->info.watermark = watermark;
+  view->tracker = *std::move(restored);
+  view->state = std::move(state);
+  if (options_.retain_history) log_.AddCheckpoint(prefix, view->state);
+  view->log = log_;
+  return std::shared_ptr<const EpochView>(std::move(view));
 }
 
 StatusOr<std::shared_ptr<const Tracker>>
@@ -274,40 +260,12 @@ Status ProvenanceService::PublishEpoch(size_t prefix, Timestamp watermark) {
   TINPROV_SCOPED_LATENCY_NS("serve.snapshot_publish_ns");
   obs::TraceSpan span("serve.publish_epoch", "serve");
 
-  auto state = std::make_shared<std::vector<uint8_t>>();
-  // Images grow slowly between epochs: sized from the last one, the
-  // save below fills the buffer without regrowing it.
-  state->reserve(last_state_bytes_ + last_state_bytes_ / 8);
-  live_tracker_->SaveState(state.get());
-  last_state_bytes_ = state->size();
-  auto restored = RestoreEpochTracker(*state);
-  if (!restored.ok()) {
-    return Status(restored.status().code(),
-                  "restoring epoch " + std::to_string(next_seq_) +
-                      " state: " + restored.status().message());
-  }
-
-  auto epoch = std::make_shared<EpochView::Epoch>();
-  epoch->info.seq = next_seq_++;
-  epoch->info.prefix = prefix;
-  epoch->info.watermark = watermark;
-  epoch->tracker = *std::move(restored);
-  epoch->state = state;
-
-  // Build the successor view from the current one. The writer is the
-  // only publisher, so a plain copy of the previous view's members is
-  // race-free; readers keep pinning the old view until the store below.
-  const std::shared_ptr<const EpochView> prev = PinView();
-  auto view = std::make_shared<EpochView>();
-  view->ring = prev->ring;
-  view->ring.push_back(std::move(epoch));
-  while (view->ring.size() > options_.ring_size) {
-    view->ring.erase(view->ring.begin());
-  }
-  if (options_.retain_history) log_.AddCheckpoint(prefix, state);
-  view->log = log_;
-  std::atomic_store_explicit(&latest_,
-                             std::shared_ptr<const EpochView>(std::move(view)),
+  auto view = BuildView(prefix, watermark);
+  if (!view.ok()) return view.status();
+  const std::shared_ptr<const std::vector<uint8_t>> state = (*view)->state;
+  // Readers keep pinning the old view until this store; when the last
+  // one lets go, its reader tracker parks as the next publish's spare.
+  std::atomic_store_explicit(&latest_, *std::move(view),
                              std::memory_order_release);
 
   TINPROV_COUNTER_ADD("serve.epochs_published", 1);
@@ -480,12 +438,12 @@ Status ProvenanceService::WaitIngest() {
 }
 
 EpochInfo ProvenanceService::LatestEpoch() const {
-  return PinView()->Latest().info;
+  return PinView()->info;
 }
 
 std::shared_ptr<const std::vector<uint8_t>>
 ProvenanceService::LatestEpochState() const {
-  return PinView()->Latest().state;
+  return PinView()->state;
 }
 
 QueryResult ProvenanceService::Provenance(VertexId v) const {
@@ -497,15 +455,14 @@ QueryResult ProvenanceService::Provenance(VertexId v) const {
 QueryResult ProvenanceService::ProvenanceIn(const EpochView& view,
                                             VertexId v) const {
   QueryResult result;
-  const EpochView::Epoch& epoch = view.Latest();
-  result.epoch = epoch.info;
+  result.epoch = view.info;
   if (v >= stats_.num_vertices) {
     result.status = Status::InvalidArgument("query vertex " +
                                             std::to_string(v) +
                                             " out of range");
     return result;
   }
-  result.buffer = epoch.tracker->Provenance(v);
+  result.buffer = view.tracker->Provenance(v);
   return result;
 }
 
@@ -532,8 +489,7 @@ QueryResult ProvenanceService::Provenance(VertexId v, Timestamp t) const {
 QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
   QueryResult result;
   const std::shared_ptr<const EpochView> view = PinView();
-  const EpochView::Epoch& latest = view->Latest();
-  result.epoch = latest.info;
+  result.epoch = view->info;
   if (v >= stats_.num_vertices) {
     result.status = Status::InvalidArgument("query vertex " +
                                             std::to_string(v) +
@@ -541,12 +497,12 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
     return result;
   }
 
-  // The prefix t resolves to: the latest epoch's own for t at or past
-  // its watermark (the fast path); else the history's, when it holds
-  // the whole published prefix (retention on) or t falls inside its
-  // seeded part; else none (past the published prefix).
+  // The prefix t resolves to: the epoch's own for t at or past its
+  // watermark (the fast path); else the history's, when it holds the
+  // whole published prefix (retention on) or t falls inside its seeded
+  // part; else none (past the published prefix).
   const CheckpointedLog& log = view->log;
-  const EpochInfo& info = latest.info;
+  const EpochInfo& info = view->info;
   size_t target = info.prefix + 1;
   if (t >= info.watermark) {
     target = info.prefix;
@@ -555,17 +511,8 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
     target = log.UpperBound(t);
   }
   if (target == info.prefix) {
-    result.buffer = latest.tracker->Provenance(v);
+    result.buffer = view->tracker->Provenance(v);
     return result;
-  }
-
-  // Exact-prefix hit in the ring: some recent epoch is the wanted state.
-  for (const std::shared_ptr<const EpochView::Epoch>& epoch : view->ring) {
-    if (epoch->info.prefix == target) {
-      result.buffer = epoch->tracker->Provenance(v);
-      result.epoch = epoch->info;
-      return result;
-    }
   }
 
   if (target > info.prefix) {
@@ -577,7 +524,9 @@ QueryResult ProvenanceService::ProvenanceAt(VertexId v, Timestamp t) const {
   }
 
   // Nearest snapshot at or before the target, then delta replay of the
-  // pinned history.
+  // pinned history. With retention on every epoch's image is a
+  // snapshot, so a target at an older epoch's prefix restores that
+  // image and replays nothing.
   TINPROV_COUNTER_ADD("serve.historical_replays", 1);
   TINPROV_SCOPED_LATENCY_NS("serve.historical_replay_ns");
   size_t replayed = 0;
@@ -642,7 +591,7 @@ std::string ProvenanceService::StatuszJson() const {
   // The epoch block is read the way a query reads it — one pinned view —
   // so the page is consistent with what any concurrent reader sees.
   const std::shared_ptr<const EpochView> view = PinView();
-  const EpochInfo epoch = view->Latest().info;
+  const EpochInfo epoch = view->info;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::SlowQueryLog& slow = obs::SlowQueryLog::Global();
 

@@ -5,9 +5,10 @@
 // splits the work. A single writer thread drives a StreamIngestor over
 // the live tracker and, every epoch_interval interactions, publishes an
 // *epoch*: the tracker's SaveState byte image restored into a read-only
-// tracker, plus the watermark/prefix it is consistent with. The reader
-// tracker is recycled: when the last reference to an evicted epoch's
-// tracker drops, it is parked in a one-slot spare, and the next publish
+// tracker, plus the watermark/prefix it is consistent with. Each
+// published view holds exactly one epoch. The reader tracker is
+// recycled: when the last reference to a superseded epoch's tracker
+// drops, it is parked in a one-slot spare, and the next publish
 // restores into it instead of building a fresh one (RestoreState fully
 // defines a tracker's state, policies/tracker.h).
 // Reader threads answer Provenance(v), Provenance(v, t), and top-k
@@ -18,8 +19,8 @@
 //   - The service holds one std::shared_ptr<const EpochView>, published
 //     with std::atomic_store (release) and pinned by readers with
 //     std::atomic_load (acquire). An EpochView is immutable after
-//     publication; pinning it keeps every state it references — the
-//     ring of recent epoch trackers, the history's log chunks and
+//     publication; pinning it keeps every state it references — its
+//     epoch's reader tracker and image, the history's log chunks and
 //     snapshot byte images — alive for the duration of the query,
 //     however far the writer advances meanwhile.
 //   - History is one CheckpointedLog (lazy/checkpointed_log.h). A view
@@ -37,15 +38,19 @@
 //     batch); the answer's EpochInfo says exactly which watermark it
 //     reflects.
 //   - Provenance(v, t) is exact for any t at or below the pinned
-//     epoch's watermark: resolved from a ring epoch when one matches,
-//     otherwise CheckpointedLog::Replay of the pinned history (nearest
-//     snapshot + delta). For t beyond the watermark the answer is the
-//     epoch state — complete through the watermark, with EpochInfo
-//     reporting the gap.
+//     epoch's watermark. From the watermark on, the epoch's tracker
+//     answers; for t beyond it that is the epoch state — complete
+//     through the watermark, with EpochInfo reporting the gap. An
+//     earlier t is CheckpointedLog::Replay of the pinned history
+//     (nearest snapshot + delta). With retention on, every epoch's
+//     image is a snapshot there, so a t that resolves to an older
+//     epoch's prefix restores that image and replays nothing. Either
+//     way the answer's EpochInfo is the pinned (newest) epoch's.
 //   - A service seeded from a handoff CheckpointedLog or a recovered
 //     directory starts its history with the seed's log and snapshots,
-//     and its live tracker from the seed's final state; epoch prefixes
-//     count from the start of that history, so one log answers every t.
+//     and its live tracker is the seed's replayed final state; epoch
+//     prefixes count from the start of that history, so one log
+//     answers every t.
 #ifndef TINPROV_SERVE_SERVICE_H_
 #define TINPROV_SERVE_SERVICE_H_
 
@@ -116,19 +121,14 @@ struct ServeOptions {
   /// vertices on a 4-vCPU host, plus the durable snapshot write when
   /// durability is on.
   size_t epoch_interval = 4096;
-  /// Recent epochs kept pinned by new views (older epochs survive only
-  /// while an in-flight reader still pins them). The ring gives
-  /// historical queries an exact-prefix fast path and bounds how much
-  /// restored-tracker state the service itself keeps alive.
-  size_t ring_size = 4;
   /// StreamIngestor micro-batch size for the writer.
   size_t ingest_batch = 1024;
   /// Retain the ingested log (chunked) and every epoch's byte image so
   /// Provenance(v, t) can delta-replay to arbitrary past times. With
   /// retention off, standing memory stops growing with the stream and
-  /// historical queries resolve only from the latest epoch or the
-  /// seeded (handoff or recovered) history; anything else returns
-  /// FailedPrecondition.
+  /// Provenance(v, t) answers only a t at or after the latest epoch's
+  /// watermark or inside the seeded (handoff or recovered) history;
+  /// any other t returns FailedPrecondition.
   bool retain_history = true;
   /// Worker threads for the Submit() queue. 0 = inline execution; the
   /// direct query methods never use the pool either way.
@@ -173,11 +173,11 @@ class ProvenanceService {
   /// be TrackerMode::kStreaming — the service only ever sees a stream.
   /// An empty `history` starts from empty state. A non-empty one (say,
   /// CheckpointedLog::Record over the pre-ingest data) is a handoff:
-  /// the live tracker starts from the state at the end of the history
-  /// (Replay at its size()) and the service's history starts with its
-  /// log and checkpoints. Its checkpoints must come from trackers
-  /// configured like the spec's, or the restore fails. Durable services
-  /// refuse a handoff: their history is their directory.
+  /// the live tracker is the history's Replay at its size() and the
+  /// service's history starts with its log and checkpoints. Its
+  /// checkpoints must come from trackers configured like the spec's, or
+  /// the restore fails. Durable services refuse a handoff: their
+  /// history is their directory.
   static StatusOr<std::unique_ptr<ProvenanceService>> Create(
       const TrackerSpec& spec, const DatasetStats& stats,
       ServeOptions options = {}, CheckpointedLog history = {});
@@ -235,7 +235,9 @@ class ProvenanceService {
 
   /// Provenance of `v` at historical time `t` — see the consistency
   /// notes above for how t relates to the history and the epoch
-  /// watermark.
+  /// watermark. The result's epoch is the newest epoch's whatever t
+  /// is; with retention on, replayed_interactions is 0 when t resolves
+  /// to an epoch's prefix.
   QueryResult Provenance(VertexId v, Timestamp t) const;
 
   /// The k origins contributing the most quantity to v's buffer at the
@@ -300,9 +302,10 @@ class ProvenanceService {
   ProvenanceService(TrackerFactory factory, TrackerSpec spec,
                     const DatasetStats& stats, const ServeOptions& options);
 
-  /// Builds and publishes epoch 0: the handoff state at the end of the
-  /// seeded history (log_), or the empty state when there is none.
-  Status Init(const std::vector<uint8_t>* handoff_state);
+  /// Publishes epoch 0 from the live tracker Create seeded — the state
+  /// at the end of the seeded history (log_), or the empty state: one
+  /// SaveState, restored into the reader tracker.
+  Status Init();
 
   /// Writer body: drains stream_, publishing epochs along the way.
   Status RunIngest();
@@ -313,6 +316,12 @@ class ProvenanceService {
 
   /// Writer: publishes the current live-tracker state as a new epoch.
   Status PublishEpoch(size_t prefix, Timestamp watermark);
+
+  /// Writer: the next epoch's view — the live tracker's image restored
+  /// into a reader tracker, plus the history, which (with retention on)
+  /// gains the image as its checkpoint at `prefix`.
+  StatusOr<std::shared_ptr<const EpochView>> BuildView(size_t prefix,
+                                                       Timestamp watermark);
 
   /// Writer: a read-only tracker holding `state`, restored into the
   /// parked spare when there is one (counted as serve.tracker_reuses),
@@ -342,7 +351,7 @@ class ProvenanceService {
   /// history's, raised by Catchup() to the catchup watermark.
   Timestamp resume_watermark_ = std::numeric_limits<Timestamp>::lowest();
 
-  // Writer-owned after Start() (and during Init).
+  // Writer-owned after Start() (and during Create).
   std::unique_ptr<Tracker> live_tracker_;
   std::unique_ptr<InteractionStream> stream_;
   /// Durable log, or null when ServeOptions::durability is off. Written

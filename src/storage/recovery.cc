@@ -40,7 +40,7 @@ Status ReadLog(Env* env, const std::string& dir, ReadLogResult* out) {
     // Continuity: a segment extends the trusted log only from exactly
     // its end. After a truncated tail, only a writer that recovered to
     // that same prefix (and so opened its segment there) lines up.
-    if (segment.base_prefix != out->interactions.size()) {
+    if (segment.base_prefix != out->log.size()) {
       if (segment.end == SegmentEnd::kTorn && segment.interactions.empty() &&
           !segment.sealed) {
         // A header-less or header-only file (crash during segment
@@ -57,9 +57,9 @@ Status ReadLog(Env* env, const std::string& dir, ReadLogResult* out) {
       continue;
     }
 
-    out->interactions.insert(out->interactions.end(),
-                             segment.interactions.begin(),
-                             segment.interactions.end());
+    for (const Interaction& interaction : segment.interactions) {
+      out->log.Append(interaction);
+    }
     if (segment.end == SegmentEnd::kTorn) {
       ++out->torn_tails;
       TINPROV_COUNTER_ADD("storage.segment_torn", 1);
@@ -82,9 +82,7 @@ StatusOr<RecoveredState> RecoveryManager::Recover(
   ReadLogResult log;
   Status status = ReadLog(env_, dir_, &log);
   if (!status.ok()) return status;
-  for (const Interaction& interaction : log.interactions) {
-    out.log.Append(interaction);
-  }
+  out.log = std::move(log.log);
   out.prefix = out.log.size();
   if (!out.log.empty()) out.watermark = out.log[out.log.size() - 1].t;
   out.torn_tails = log.torn_tails;
@@ -114,7 +112,7 @@ StatusOr<RecoveredState> RecoveryManager::Recover(
                       tracker.status().message());
   }
   out.replayed = replayed;
-  (*tracker)->SaveState(&out.state);
+  out.tracker = *std::move(tracker);
 
   TINPROV_COUNTER_ADD("storage.recoveries", 1);
   TINPROV_GAUGE_SET("storage.recovered_interactions", out.prefix);

@@ -17,11 +17,13 @@
 //      are skipped — they cost replay time, not correctness; a snapshot
 //      claiming a prefix the log cannot back is ignored the same way).
 //   3. CheckpointedLog::Replay restores the newest checkpoint and
-//      replays the log tail past it.
+//      replays the log tail past it; the replayed tracker itself is
+//      returned, ready to continue ingesting (a restarted service
+//      adopts it as its live tracker).
 // The result equals Tracker::Process over trusted[0, prefix) on a fresh
-// tracker — the SaveState/RestoreState bit-exact-resume contract makes
-// the snapshot shortcut invisible — and the returned log answers any
-// earlier prefix the same way. The crash test (test_storage /
+// tracker — SaveState-identical, by the bit-exact-resume contract that
+// makes the snapshot shortcut invisible — and the returned log answers
+// any earlier prefix the same way. The crash test (test_storage /
 // scripts/crash_smoke.sh) holds this equality under every
 // FaultInjectingEnv mode and under kill -9.
 #ifndef TINPROV_STORAGE_RECOVERY_H_
@@ -29,6 +31,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,8 +45,9 @@ namespace tinprov::storage {
 
 /// The trusted contents of a storage directory's segment files.
 struct ReadLogResult {
-  /// Interactions backed by intact checksummed records, global order.
-  std::vector<Interaction> interactions;
+  /// Interactions backed by intact checksummed records, global order,
+  /// appended segment by segment; no checkpoints.
+  CheckpointedLog log;
   size_t segments_scanned = 0;
   /// Segments (or segment suffixes) past the first break — data the
   /// writer may have produced but the trusted prefix cannot reach.
@@ -69,9 +73,10 @@ struct RecoveredState {
   /// Timestamp of the last trusted interaction; the recovered state is
   /// complete up to and including it.
   Timestamp watermark = std::numeric_limits<Timestamp>::lowest();
-  /// Tracker SaveState bytes at `prefix` — hand to RestoreState (or
-  /// serve's handoff) to resume bit-exactly.
-  std::vector<uint8_t> state;
+  /// The state after log[0, prefix): a tracker from Recover's factory,
+  /// SaveState-identical to a clean replay of the trusted log. Continue
+  /// ingesting into it to resume bit-exactly.
+  std::unique_ptr<Tracker> tracker;
   uint64_t replayed = 0;  // delta replayed past the newest checkpoint
   size_t snapshots_skipped = 0;  // corrupt snapshots passed over
   size_t torn_tails = 0;
@@ -88,9 +93,9 @@ class RecoveryManager {
 
   /// Full recovery for a tracker built by `factory`: trusted log scan,
   /// every valid snapshot loaded as a checkpoint, the newest restored
-  /// and the delta replayed, final SaveState. Reads only. Snapshot-
-  /// restore or replay failures are real errors (config mismatch
-  /// between the factory and the writer) and propagate.
+  /// and the delta replayed into the returned tracker. Reads only.
+  /// Snapshot-restore or replay failures are real errors (config
+  /// mismatch between the factory and the writer) and propagate.
   StatusOr<RecoveredState> Recover(const TrackerFactory& factory) const;
 
   /// Prepares the directory for a writer resuming at `recovered.prefix`,

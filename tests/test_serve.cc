@@ -3,8 +3,9 @@
 // carries the epoch (prefix, watermark) it was resolved against, and
 // replaying exactly that prefix through an identically configured
 // tracker must reproduce the answer bit-exactly — while the writer was
-// publishing, under concurrent readers, across epoch-ring wraparound,
-// and across the handoff boundary of a seeding CheckpointedLog.
+// publishing, under concurrent readers, long after the epoch a query
+// asks about was superseded, and across the handoff boundary of a
+// seeding CheckpointedLog.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,7 +41,7 @@
 namespace tinprov {
 
 // Holds a view the way an in-flight reader does, for as long as a test
-// likes: the view keeps its epochs' reader trackers alive.
+// likes: the view keeps its epoch's reader tracker alive.
 class ProvenanceServiceTestPeer {
  public:
   using Pin = std::shared_ptr<const ProvenanceService::EpochView>;
@@ -300,15 +301,14 @@ TEST(ServeConcurrencyTest, WorkerPoolResolvesSubmittedQueries) {
 #endif  // !TINPROV_NO_THREADS
 
 // ---------------------------------------------------------------------
-// (c) Epoch-ring wraparound: long past the ring's reach, historical
-// queries still answer exactly via nearest snapshot + delta replay.
+// (c) Long after an epoch is superseded, historical queries still
+// answer exactly via nearest snapshot + delta replay.
 
 TEST(ServeHistoryTest, RingWraparoundStillAnswersExactly) {
   const Tin tin = GeneratedTin();
   const TrackerSpec spec = StreamingSpec("Prop-sparse");
   ServeOptions options;
-  options.epoch_interval = 100;
-  options.ring_size = 2;  // ~30 epochs published, only 2 retained live
+  options.epoch_interval = 100;  // ~30 epochs published
   auto service = ProvenanceService::Create(spec, tin.Stats(), options);
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE(
@@ -318,7 +318,7 @@ TEST(ServeHistoryTest, RingWraparoundStillAnswersExactly) {
 
   const auto& log = tin.interactions();
   // Probe times across the whole stream, almost all far behind the
-  // 2-epoch ring, plus the boundaries.
+  // newest epoch, plus the boundaries.
   const std::vector<Timestamp> probes = {
       log.front().t - 1.0, log.front().t, log[150].t, log[1234].t,
       log[2500].t,         log.back().t,  log.back().t + 5.0};
@@ -334,10 +334,61 @@ TEST(ServeHistoryTest, RingWraparoundStillAnswersExactly) {
   }
 }
 
+// (c1) A query at an older epoch's exact prefix restores that epoch's
+// own image from the history and replays nothing; the answer still
+// carries the newest epoch's EpochInfo, the view it was resolved in.
+
+TEST(ServeHistoryTest, EpochPrefixesRestoreTheirOwnImage) {
+  const Tin tin = GeneratedTin();
+  const auto& log = tin.interactions();
+  for (const char* name : {"Prop-sparse", "LRB", "Windowed"}) {
+    const TrackerSpec spec = StreamingSpec(name);
+    ServeOptions options;
+    options.epoch_interval = 100;
+    auto service = ProvenanceService::Create(spec, tin.Stats(), options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_TRUE(
+        (*service)->Start(std::make_unique<MaterializedStream>(tin)).ok());
+    ASSERT_TRUE((*service)->WaitIngest().ok());
+    const EpochInfo latest = (*service)->LatestEpoch();
+    ASSERT_EQ(latest.prefix, log.size());
+
+    auto factory = TrackerRegistry::Global().Factory(spec, tin.Stats());
+    ASSERT_TRUE(factory.ok());
+    std::unique_ptr<Tracker> reference = (*factory)();
+    size_t applied = 0;
+    size_t probed = 0;
+    for (size_t p = options.epoch_interval; p <= log.size();
+         p += options.epoch_interval) {
+      // t = log[p-1].t resolves to prefix p only when no later
+      // interaction shares its timestamp.
+      if (p < log.size() && log[p].t == log[p - 1].t) continue;
+      ++probed;
+      for (; applied < p; ++applied) {
+        ASSERT_TRUE(reference->Process(log[applied]).ok());
+      }
+      const Timestamp t = log[p - 1].t;
+      for (const VertexId v : {VertexId{0}, VertexId{17}, VertexId{42}}) {
+        const std::string context = std::string(name) + " prefix " +
+                                    std::to_string(p) + " v=" +
+                                    std::to_string(v);
+        const QueryResult result = (*service)->Provenance(v, t);
+        ASSERT_TRUE(result.status.ok()) << context;
+        EXPECT_EQ(result.replayed_interactions, 0u) << context;
+        EXPECT_EQ(result.epoch.seq, latest.seq) << context;
+        EXPECT_EQ(result.epoch.prefix, latest.prefix) << context;
+        EXPECT_EQ(result.epoch.watermark, latest.watermark) << context;
+        ExpectSameBuffer(reference->Provenance(v), result.buffer, context);
+      }
+    }
+    EXPECT_GE(probed, 20u) << name;
+  }
+}
+
 // ---------------------------------------------------------------------
-// (c2) Recycled reader trackers. With a one-epoch ring every publish
-// evicts the previous epoch, whose reader tracker is parked and then
-// restored into by the next publish. A reader pinning an old epoch
+// (c2) Recycled reader trackers. Every publish supersedes the previous
+// epoch, whose reader tracker is parked and then restored into by the
+// next publish. A reader pinning an old epoch
 // across many publishes keeps its tracker untouched — only unpinned
 // trackers are ever parked — and its answers, the concurrent readers'
 // answers at every epoch and the newest epoch's all match
@@ -357,7 +408,6 @@ TEST_P(ServeRecycleTest, PinnedEpochSurvivesRecycledPublishes) {
   ServeOptions options;
   options.epoch_interval = 64;  // 31 publishes over the 2000-long tail
   options.ingest_batch = 64;
-  options.ring_size = 1;
   auto service = ProvenanceService::Create(
       spec, tin.Stats(), options, RecordHead(*factory, tin, split, 250));
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -381,7 +431,7 @@ TEST_P(ServeRecycleTest, PinnedEpochSurvivesRecycledPublishes) {
                                                log.end())))
                   .ok());
 #if !defined(TINPROV_NO_THREADS)
-  // A concurrent reader unpins views on its own thread, so some evicted
+  // A concurrent reader unpins views on its own thread, so some superseded
   // trackers are parked from here rather than from the writer.
   std::thread reader([&] {
     VertexId v = 0;
@@ -435,11 +485,32 @@ INSTANTIATE_TEST_SUITE_P(AllFactoryNames, ServeRecycleTest,
                          ::testing::ValuesIn(TrackerRegistry::Global().Names()),
                          SanitizeName);
 
+// With no reader pinning a view, every publish after the first restores
+// into the reader tracker the previous publish superseded.
+TEST(ServeRecycleCountTest, EachPublishReusesTheSupersededTracker) {
+  const Tin tin = GeneratedTin(20000);  // five default-interval epochs
+  auto service =
+      ProvenanceService::Create(StreamingSpec("FIFO"), tin.Stats());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const obs::Counter* reuses =
+      obs::MetricsRegistry::Global().GetCounter("serve.tracker_reuses");
+  const uint64_t reuses_before = reuses->Value();
+  ASSERT_TRUE(
+      (*service)->Start(std::make_unique<MaterializedStream>(tin)).ok());
+  ASSERT_TRUE((*service)->WaitIngest().ok());
+  // Epoch 0 and epoch 1 each need a fresh tracker: epoch 0's is only
+  // parked once epoch 1 replaces it.
+  const uint64_t epochs = (*service)->LatestEpoch().seq + 1;
+  ASSERT_GE(epochs, 5u);
+  if (obs::kMetricsEnabled) {
+    EXPECT_EQ(reuses->Value() - reuses_before, epochs - 2);
+  }
+}
+
 TEST(ServeHistoryTest, RetentionOffBoundsHistoricalReach) {
   const Tin tin = GeneratedTin();
   ServeOptions options;
   options.epoch_interval = 100;
-  options.ring_size = 2;
   options.retain_history = false;
   auto service = ProvenanceService::Create(StreamingSpec("Prop-sparse"),
                                            tin.Stats(), options);
@@ -452,7 +523,7 @@ TEST(ServeHistoryTest, RetentionOffBoundsHistoricalReach) {
   QueryResult fresh =
       (*service)->Provenance(0, tin.interactions().back().t);
   EXPECT_TRUE(fresh.status.ok());
-  // Far behind the 2-epoch ring there is nothing to answer from.
+  // Far behind the latest epoch there is nothing to answer from.
   QueryResult stale =
       (*service)->Provenance(0, tin.interactions().front().t - 1.0);
   EXPECT_EQ(stale.status.code(), StatusCode::kFailedPrecondition);
@@ -597,7 +668,6 @@ TEST(ServeHistoryTest, RetentionOffStillAnswersTheSeededHistory) {
   const size_t split = tin.num_interactions() / 2;
   ServeOptions options;
   options.epoch_interval = 100;
-  options.ring_size = 2;
   options.retain_history = false;
   auto service = ProvenanceService::Create(
       spec, tin.Stats(), options, RecordHead(*factory, tin, split, 97));
@@ -616,7 +686,8 @@ TEST(ServeHistoryTest, RetentionOffStillAnswersTheSeededHistory) {
   QueryResult seeded = (*service)->Provenance(5, t);
   ASSERT_TRUE(seeded.status.ok()) << seeded.status.ToString();
   ExpectSameBuffer(reference->Provenance(5), seeded.buffer, "seeded");
-  // The unretained live past far behind the ring has nothing to answer.
+  // The unretained live past behind the latest epoch has nothing to
+  // answer.
   QueryResult stale = (*service)->Provenance(5, log[split + 10].t);
   EXPECT_EQ(stale.status.code(), StatusCode::kFailedPrecondition);
 }

@@ -121,9 +121,10 @@ TrackerSpec StreamingSpec(const std::string& name) {
   return {name, TestParams(), TrackerMode::kStreaming};
 }
 
+/// `actual` is a vector or a CheckpointedLog.
+template <typename Log>
 void ExpectInteractionsEqual(const std::vector<Interaction>& expected,
-                             const std::vector<Interaction>& actual,
-                             const std::string& context) {
+                             const Log& actual, const std::string& context) {
   ASSERT_EQ(expected.size(), actual.size()) << context;
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i].src, actual[i].src) << context << " entry " << i;
@@ -492,6 +493,31 @@ TEST(SnapshotStore, RoundtripAndNewestSelection) {
   EXPECT_EQ(none->corrupt_skipped, 0u);
 }
 
+TEST(SnapshotStore, FileIsHeaderImageAndOneChecksum) {
+  // The frame on disk, built field by field: magic, version, prefix,
+  // watermark, image length, the image, then the masked CRC32C of all
+  // of it in one pass.
+  ScratchDir dir("snap_frame");
+  st::SnapshotStore store(st::Env::Posix(), dir.path());
+  std::vector<uint8_t> state(5000);
+  for (size_t i = 0; i < state.size(); ++i) {
+    state[i] = static_cast<uint8_t>(i * 31 + 7);
+  }
+  ASSERT_TRUE(store.Write(4096, 12.5, state).ok());
+
+  std::vector<uint8_t> expected;
+  ByteWriter writer(&expected);
+  writer.Append<uint32_t>(st::kSnapshotMagic);
+  writer.Append<uint32_t>(st::kFormatVersion);
+  writer.Append<uint64_t>(4096);
+  writer.Append<Timestamp>(12.5);
+  writer.Append<uint64_t>(state.size());
+  writer.AppendSpan(state.data(), state.size());
+  writer.Append<uint32_t>(Crc32cMask(Crc32c(expected.data(), expected.size())));
+  EXPECT_EQ(SlurpFile(st::JoinPath(dir.path(), st::SnapshotFileName(4096))),
+            expected);
+}
+
 TEST(SnapshotStore, FallsBackPastCorruption) {
   ScratchDir dir("snap_corrupt");
   st::SnapshotStore store(st::Env::Posix(), dir.path());
@@ -673,7 +699,7 @@ TEST(DurableLog, RotatesAndRecoversClean) {
 
   st::ReadLogResult recovered;
   ASSERT_TRUE(st::ReadLog(st::Env::Posix(), dir.path(), &recovered).ok());
-  ExpectInteractionsEqual(data, recovered.interactions, "clean recovery");
+  ExpectInteractionsEqual(data, recovered.log, "clean recovery");
   EXPECT_EQ(recovered.torn_tails, 0u);
   EXPECT_EQ(recovered.corrupt_records, 0u);
   EXPECT_EQ(recovered.segments_dropped, 0u);
@@ -708,8 +734,8 @@ TEST(DurableLog, DegradePolicySwallowsFailuresAndLatches) {
   env.Disarm();
   st::ReadLogResult recovered;
   ASSERT_TRUE(st::ReadLog(st::Env::Posix(), dir.path(), &recovered).ok());
-  EXPECT_TRUE(IsPrefixOf(recovered.interactions, data));
-  EXPECT_LT(recovered.interactions.size(), data.size());
+  EXPECT_TRUE(IsPrefixOf(recovered.log, data));
+  EXPECT_LT(recovered.log.size(), data.size());
 }
 
 /// Simulated serve writer: apply a batch to the tracker, append it to
@@ -815,7 +841,9 @@ TEST(Recovery, EveryTrackerEveryFaultModeRecoversBitExactly) {
         }
         std::vector<uint8_t> reference_state;
         reference->SaveState(&reference_state);
-        EXPECT_EQ(recovered->state, reference_state) << context;
+        std::vector<uint8_t> recovered_state;
+        recovered->tracker->SaveState(&recovered_state);
+        EXPECT_EQ(recovered_state, reference_state) << context;
       }
     }
   }
@@ -846,8 +874,8 @@ TEST(Recovery, ResumedLogReadsAsOneContinuousHistory) {
 
   st::ReadLogResult first;
   ASSERT_TRUE(st::ReadLog(&env, dir.path(), &first).ok());
-  const size_t recovered_prefix = first.interactions.size();
-  ASSERT_TRUE(IsPrefixOf(first.interactions, data));
+  const size_t recovered_prefix = first.log.size();
+  ASSERT_TRUE(IsPrefixOf(first.log, data));
   ASSERT_LT(recovered_prefix, half);  // the tear lost something
   EXPECT_GE(first.torn_tails, 1u);
 
@@ -865,7 +893,7 @@ TEST(Recovery, ResumedLogReadsAsOneContinuousHistory) {
 
   st::ReadLogResult second;
   ASSERT_TRUE(st::ReadLog(&env, dir.path(), &second).ok());
-  ExpectInteractionsEqual(data, second.interactions, "resumed log");
+  ExpectInteractionsEqual(data, second.log, "resumed log");
 }
 
 // --- Tracker snapshot fuzzing (serialize hardening) ------------------------
@@ -915,7 +943,6 @@ ServeOptions DurableServeOptions(const std::string& dir, st::Env* env) {
   ServeOptions options;
   options.epoch_interval = 256;
   options.ingest_batch = 64;
-  options.ring_size = 3;
   options.durability.dir = dir;
   options.durability.env = env;
   options.durability.log.rotate_bytes = 4096;
@@ -1296,7 +1323,7 @@ TEST(ServeDurable, ResumeAfterCorruptionKeepsTheResumedWriter) {
   DumpFile(segment, bytes);
   st::ReadLogResult rotted;
   ASSERT_TRUE(st::ReadLog(st::Env::Posix(), dir.path(), &rotted).ok());
-  const size_t trusted = rotted.interactions.size();
+  const size_t trusted = rotted.log.size();
   ASSERT_GT(trusted, 100u);  // the break sits inside segment 1
   ASSERT_LT(trusted, 200u);
   ASSERT_GT(rotted.segments_dropped, 0u);
@@ -1334,7 +1361,9 @@ TEST(ServeDurable, ResumeAfterCorruptionKeepsTheResumedWriter) {
   }
   std::vector<uint8_t> reference_state;
   reference->SaveState(&reference_state);
-  EXPECT_EQ(recovered->state, reference_state);
+  std::vector<uint8_t> recovered_state;
+  recovered->tracker->SaveState(&recovered_state);
+  EXPECT_EQ(recovered_state, reference_state);
 
   // Every snapshot on disk is a clean replay of the log at its prefix:
   // none of A's from above the break survived.
